@@ -152,6 +152,7 @@ type conn = {
   mutable alive : bool;
   accepted_at : float;
   mutable reqs_served : int;  (* finished traces on this connection *)
+  track : string;  (* trace track of whoever serves this connection *)
   (* Readiness interest last pushed to the evio backend (event-loop
      modes); [sync_conn] diffs against these so unchanged fds cost
      nothing. *)
@@ -266,9 +267,8 @@ type t = {
   log_channel : out_channel option;
   (* MP mode: forked children hold copy-on-write stats, so per-request
      events are consolidated in the parent over a pipe (the paper's §4.2
-     "information gathering" cost of the MP architecture).  Each event is
-     a fixed 9-byte record: a tag byte plus the latency as IEEE-754
-     bits. *)
+     "information gathering" cost of the MP architecture), one fixed-size
+     record per event ([stats_record]). *)
   stats_pipe_read : Unix.file_descr option;
   stats_pipe_write : Unix.file_descr option;
   stats_acc : Buffer.t;  (* partial pipe records between reads *)
@@ -301,12 +301,9 @@ type t = {
   bytes_copied : Obs.Counter.t;
   bytes_sent : Obs.Counter.t;  (* response bytes the kernel accepted *)
   (* Responses by status class: slots for 2xx/3xx/4xx/5xx, guarded by
-     [obs_mutex]; MP children ship 'S' records so the parent's array is
-     the consolidated view. *)
+     [obs_mutex]; an MP child's 'r'/'e' records carry the class, so the
+     parent's array is the consolidated view. *)
   status_classes : int array;
-  (* Copying-fallback staging buffer for the single-threaded event-loop
-     modes; MP/MT workers allocate their own per connection. *)
-  send_scratch : Bytes.t;
   gather_writes : bool;  (* config.use_writev, gated on stub presence *)
   (* The pid that created this server.  After an MP fork both sides
      hold the same record; parent-only duties (draining the stats pipe,
@@ -386,16 +383,25 @@ let is_mp_parent t =
 
 (* One fixed-size record per event.  MP children send these to the
    parent; MT threads and the single-process modes count in place.
-   Tags: 'r' finished request, 'e' finished request that errored,
-   'c' accepted connection, 'f' accept shed on EMFILE, 'S' response by
-   status class (class index in the first payload byte).  The float is
-   the request latency in seconds (0 where unused).  9 bytes <
-   PIPE_BUF, so writes are atomic. *)
-let stats_record ~tag ~latency =
-  let b = Bytes.create 9 in
+   Tags: 'r' a response, 'e' an error response, 'c' accepted
+   connection, 'f' accept shed on EMFILE.  Byte 1 is the response's
+   status class index, bytes 2-9 its latency in seconds as IEEE-754
+   bits (NaN when not measured; 0 where unused).  10 bytes < PIPE_BUF,
+   so writes are atomic. *)
+let stats_record ?(cls = 0) ~tag ~latency () =
+  let b = Bytes.create 10 in
   Bytes.set b 0 tag;
-  Bytes.set_int64_le b 1 (Int64.bits_of_float latency);
+  Bytes.set b 1 (Char.chr cls);
+  Bytes.set_int64_le b 2 (Int64.bits_of_float latency);
   b
+
+(* Send one record to the MP parent; nothing to do in the other modes. *)
+let ship t b =
+  match t.stats_pipe_write with
+  | None -> ()
+  | Some w -> (
+      try ignore (Unix.write w b 0 (Bytes.length b))
+      with Unix.Unix_error _ -> ())
 
 (* Variable-length trace records ride the same pipe: tag 'T', a u16 LE
    payload length, then a [Obs.Trace.to_binary] record.  Fixed wider
@@ -411,34 +417,24 @@ let consume_stats t bytes len =
   let short = ref false in
   while (not !short) && !pos < n do
     match s.[!pos] with
-    | 'c' | 'r' | 'e' ->
-        if !pos + 9 <= n then begin
-          let latency = Int64.float_of_bits (String.get_int64_le s (!pos + 1)) in
-          (match s.[!pos] with
+    | ('c' | 'f' | 'r' | 'e') as tag ->
+        if !pos + 10 <= n then begin
+          (match tag with
           | 'c' -> t.n_connections <- t.n_connections + 1
-          | tag ->
+          | 'f' -> Obs.Counter.incr t.accept_emfile
+          | _ ->
+              (* The parent counts the request from its response. *)
+              let cls = Char.code s.[!pos + 1] land 3 in
+              let latency =
+                Int64.float_of_bits (String.get_int64_le s (!pos + 2))
+              in
               t.n_requests <- t.n_requests + 1;
               if tag = 'e' then t.n_errors <- t.n_errors + 1;
-              with_obs_lock t (fun () -> Obs.Histogram.record t.latency latency));
-          pos := !pos + 9
-        end
-        else short := true
-    | 'f' ->
-        (* An MP child shed an accept on EMFILE/ENFILE (same 9-byte
-           frame as the counting tags; the float is unused). *)
-        if !pos + 9 <= n then begin
-          Obs.Counter.incr t.accept_emfile;
-          pos := !pos + 9
-        end
-        else short := true
-    | 'S' ->
-        (* A response counted by status class: the class index rides in
-           the first payload byte of the 9-byte frame. *)
-        if !pos + 9 <= n then begin
-          let cls = Char.code s.[!pos + 1] land 3 in
-          with_obs_lock t (fun () ->
-              t.status_classes.(cls) <- t.status_classes.(cls) + 1);
-          pos := !pos + 9
+              with_obs_lock t (fun () ->
+                  t.status_classes.(cls) <- t.status_classes.(cls) + 1;
+                  if not (Float.is_nan latency) then
+                    Obs.Histogram.record t.latency latency));
+          pos := !pos + 10
         end
         else short := true
     | 'v' ->
@@ -538,33 +534,35 @@ let mapped_now t =
 (* An MP child pushes its gauge snapshot whenever a gauge moves
    (connection open/close, cache insert).  No-op elsewhere. *)
 let mp_ship_gauges t =
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let active = with_obs_lock t (fun () -> Obs.Gauge.value t.active) in
-      let mapped = File_cache.mapped_bytes t.cache in
-      let b = Bytes.create 25 in
-      Bytes.set b 0 'G';
-      Bytes.set_int64_le b 1 (Int64.of_int (Unix.getpid ()));
-      Bytes.set_int64_le b 9 (Int64.of_int active);
-      Bytes.set_int64_le b 17 (Int64.of_int mapped);
-      (try ignore (Unix.write w b 0 25) with Unix.Unix_error _ -> ())
+  if t.stats_pipe_write <> None then begin
+    let active = with_obs_lock t (fun () -> Obs.Gauge.value t.active) in
+    let mapped = File_cache.mapped_bytes t.cache in
+    let b = Bytes.create 25 in
+    Bytes.set b 0 'G';
+    Bytes.set_int64_le b 1 (Int64.of_int (Unix.getpid ()));
+    Bytes.set_int64_le b 9 (Int64.of_int active);
+    Bytes.set_int64_le b 17 (Int64.of_int mapped);
+    ship t b
+  end
 
-(* Count a response by status class (2xx/3xx/4xx/5xx).  MP children
-   also ship an 'S' record so the parent's array is the consolidated
-   view. *)
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
-let count_status t code =
+(* Every response is counted here, in every mode: its status class
+   (2xx/3xx/4xx/5xx), whether it is an error (400 and up) and its
+   latency (NaN: not measured).  An MP child also ships the event to
+   the parent as one 'r'/'e' record. *)
+let count_response t ~code ~latency =
   let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
+  let error = code >= 400 in
   with_obs_lock t (fun () ->
-      t.status_classes.(cls) <- t.status_classes.(cls) + 1);
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let b = stats_record ~tag:'S' ~latency:0. in
-      Bytes.set b 1 (Char.chr cls);
-      (try ignore (Unix.write w b 0 9) with Unix.Unix_error _ -> ())
+      t.status_classes.(cls) <- t.status_classes.(cls) + 1;
+      if error then t.n_errors <- t.n_errors + 1;
+      if not (Float.is_nan latency) then Obs.Histogram.record t.latency latency);
+  ship t (stats_record ~cls ~tag:(if error then 'e' else 'r') ~latency ())
+
+let count_connection t =
+  with_obs_lock t (fun () -> t.n_connections <- t.n_connections + 1);
+  ship t (stats_record ~tag:'c' ~latency:0. ())
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
@@ -640,7 +638,8 @@ let with_tracer t f =
 
 (* The track a span is attributed to: the Perfetto row it renders on.
    Event-loop modes do request work on the main loop; MP children and MT
-   workers each get their own row. *)
+   workers each get their own row.  One connection is served by one
+   loop, process or thread, so it is computed once per connection. *)
 let current_track t =
   match t.config.mode with
   | Amped | Sped -> "main-loop"
@@ -658,7 +657,7 @@ let current_track t =
 let ensure_trace t conn =
   with_tracer t (fun tracer ->
       if conn.trace = None then begin
-        let track = current_track t in
+        let track = conn.track in
         let tr =
           if conn.reqs_served = 0 then begin
             let tr = Obs.Trace.start tracer ~at:conn.accepted_at () in
@@ -692,7 +691,7 @@ let begin_work_span t conn name =
       match conn.trace with
       | Some tr when conn.work_span = None ->
           conn.work_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:(current_track t) name)
+            Some (Obs.Trace.begin_span tracer tr ~track:conn.track name)
       | _ -> ())
 
 let log_slow t (data : Obs.Trace.trace_data) =
@@ -708,9 +707,26 @@ let log_slow t (data : Obs.Trace.trace_data) =
         | None -> prerr_endline line
       end
 
+(* MP children ship each finished trace to the parent as a framed
+   binary record on the stats pipe.  Oversized traces (past PIPE_BUF
+   atomicity) are dropped rather than risk interleaving. *)
+let ship_trace t data =
+  if t.stats_pipe_write <> None then begin
+    let payload = Obs.Trace.to_binary data in
+    let plen = String.length payload in
+    if plen <= 4000 then begin
+      let b = Bytes.create (3 + plen) in
+      Bytes.set b 0 'T';
+      Bytes.set b 1 (Char.chr (plen land 0xff));
+      Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
+      Bytes.blit_string payload 0 b 3 plen;
+      ship t b
+    end
+  end
+
 (* Close the in-flight request's trace: response bytes are out (or the
    connection died).  Pushes it into the ring and, past the threshold,
-   into the slow-request log. *)
+   into the slow-request log; an MP child also ships it to the parent. *)
 let finish_request_trace ?(closing = false) t conn =
   match t.tracer with
   | None -> ()
@@ -724,7 +740,7 @@ let finish_request_trace ?(closing = false) t conn =
                 | Some sp -> Obs.Trace.end_span tracer sp
                 | None -> ());
                 if closing || conn.close_after_flush then
-                  Obs.Trace.instant tracer tr ~track:(current_track t) "close";
+                  Obs.Trace.instant tracer tr ~track:conn.track "close";
                 Obs.Trace.finish tracer tr)
           in
           conn.trace <- None;
@@ -732,7 +748,8 @@ let finish_request_trace ?(closing = false) t conn =
           conn.work_span <- None;
           conn.write_span <- None;
           conn.reqs_served <- conn.reqs_served + 1;
-          log_slow t data)
+          log_slow t data;
+          ship_trace t data)
 
 let log_access ?conn ?path t ~meth ~target ~status ~bytes =
   match t.log_channel with
@@ -771,14 +788,17 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
       output_string oc (line ^ "\n");
       flush oc
 
-(* Latency is measured from parse completion to response generation —
-   for AMPED that spans the helper round-trip, for SPED the inline disk
-   work, so the architectural difference is visible in the numbers.
-   This is also the "response generated" seam for tracing: the work
-   span (inline disk read, CGI) ends and the write span begins. *)
-let record_latency t conn =
-  let dt = t.config.clock () -. conn.req_start in
-  with_obs_lock t (fun () -> Obs.Histogram.record t.latency dt);
+(* Every response commits here, once, as it is queued — before its
+   last byte can reach the kernel, so a client holding a response never
+   sees a scrape that misses it.  (The request itself was counted when
+   it parsed, so a scrape counts itself.)  Latency runs from parse
+   completion to response generation: for AMPED that spans the helper
+   round-trip, for SPED/MP/MT the inline disk work, so the
+   architectural difference is visible in the numbers.  This is also
+   the tracing seam: the work span (inline disk read, CGI) ends and the
+   write span begins. *)
+let commit t conn ~code ~keep =
+  count_response t ~code ~latency:(t.config.clock () -. conn.req_start);
   with_tracer t (fun tracer ->
       (match conn.work_span with
       | Some sp ->
@@ -788,9 +808,11 @@ let record_latency t conn =
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
-            Some (Obs.Trace.begin_span tracer tr ~track:(current_track t) "write")
+            Some (Obs.Trace.begin_span tracer tr ~track:conn.track "write")
       | _ -> ());
-  tick_recorder t
+  tick_recorder t;
+  if not keep then conn.close_after_flush <- true;
+  conn.state <- Reading
 
 let slow_read_hook t path =
   match t.config.slow_read with Some f -> f path | None -> ()
@@ -1548,16 +1570,15 @@ let register_metrics t =
    consolidated view includes them. *)
 let count_send ?(sent = 0) t ~writev ~writes ~copied =
   if writev <> 0 || writes <> 0 || copied <> 0 || sent <> 0 then begin
-    (match t.stats_pipe_write with
-    | Some w -> (
-        let b = Bytes.create 33 in
-        Bytes.set b 0 'v';
-        Bytes.set_int64_le b 1 (Int64.of_int writev);
-        Bytes.set_int64_le b 9 (Int64.of_int writes);
-        Bytes.set_int64_le b 17 (Int64.of_int copied);
-        Bytes.set_int64_le b 25 (Int64.of_int sent);
-        try ignore (Unix.write w b 0 33) with Unix.Unix_error _ -> ())
-    | None -> ());
+    if t.stats_pipe_write <> None then begin
+      let b = Bytes.create 33 in
+      Bytes.set b 0 'v';
+      Bytes.set_int64_le b 1 (Int64.of_int writev);
+      Bytes.set_int64_le b 9 (Int64.of_int writes);
+      Bytes.set_int64_le b 17 (Int64.of_int copied);
+      Bytes.set_int64_le b 25 (Int64.of_int sent);
+      ship t b
+    end;
     (* Mirror locally (MP children keep their own copy-on-write view,
        matching the request/connection counters). *)
     with_obs_lock t (fun () ->
@@ -1583,11 +1604,12 @@ let render_header ?last_modified ?(extra = []) t ~status ~content_type
     ~extra ~keep_alive:keep ~server:t.config.server_name
     ~date:(Unix.gettimeofday ()) ?align:(align_of t) ()
 
-let enqueue_error ?(target = "-") ?(meth = "GET") ?extra t conn status ~keep
-    ~head_only =
-  t.n_errors <- t.n_errors + 1;
-  count_status t (Http.Status.code status);
-  log_access ~conn t ~meth ~target ~status:(Http.Status.code status) ~bytes:0;
+(* An error page.  [~log:false] leaves it out of the access log (a
+   request too malformed to name a target). *)
+let enqueue_error ?(target = "-") ?(meth = "GET") ?(log = true) ?extra t conn
+    status ~keep ~head_only =
+  let code = Http.Status.code status in
+  if log then log_access ~conn t ~meth ~target ~status:code ~bytes:0;
   let body = Http.Response.error_body status in
   let header =
     render_header t ~status ?extra ~content_type:(Some "text/html")
@@ -1595,16 +1617,7 @@ let enqueue_error ?(target = "-") ?(meth = "GET") ?extra t conn status ~keep
   in
   enqueue_string t conn header;
   if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-let cancel_timer t slot =
-  match slot with
-  | Some tm ->
-      Evio.Timer_wheel.cancel t.wheel tm;
-      None
-  | None -> None
+  commit t conn ~code ~keep
 
 (* Guard bookkeeping sugar: count a shed decision, and build the
    Retry-After advice carried on guard-driven 429/503 responses. *)
@@ -1679,7 +1692,6 @@ let plan_for ~(req : Http.Request.t) ~etag ~mtime ~size =
 (* 304 without a cache entry (streamed files): rendered per-request. *)
 let enqueue_not_modified ?etag ?last_modified ?path t conn
     (req : Http.Request.t) ~keep =
-  count_status t 304;
   log_access ~conn ?path t
     ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
     ~target:req.Http.Request.raw_target ~status:304 ~bytes:0;
@@ -1691,24 +1703,19 @@ let enqueue_not_modified ?etag ?last_modified ?path t conn
       ~content_length:None ?last_modified ~extra ~keep
   in
   enqueue_string t conn header;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  commit t conn ~code:304 ~keep
 
 (* The zero-copy 304: a cache hit's conditional reply is the entry's
    pre-rendered 304 header — one slice, one gather write, no copies. *)
 let enqueue_not_modified_entry ?path t conn (req : Http.Request.t)
     (entry : File_cache.entry) ~keep =
-  count_status t 304;
   log_access ~conn ?path t
     ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
     ~target:req.Http.Request.raw_target ~status:304 ~bytes:0;
   enqueue_slice conn
     (if keep then entry.File_cache.header_304_keep
      else entry.File_cache.header_304_close);
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  commit t conn ~code:304 ~keep
 
 (* The zero-copy fast path: a cache hit queues the pre-rendered header
    and the mmap-backed body as two slices — one gather write, no
@@ -1716,7 +1723,6 @@ let enqueue_not_modified_entry ?path t conn (req : Http.Request.t)
 let enqueue_entry ?path t conn (req : Http.Request.t)
     (entry : File_cache.entry) ~keep ~head_only =
   let body_len = Bigarray.Array1.dim entry.File_cache.body in
-  count_status t 200;
   log_access ~conn ?path t
     ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
     ~target:req.Http.Request.raw_target ~status:200
@@ -1725,22 +1731,12 @@ let enqueue_entry ?path t conn (req : Http.Request.t)
     (if keep then entry.File_cache.header_keep
      else entry.File_cache.header_close);
   if not head_only then enqueue_slice conn entry.File_cache.body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  commit t conn ~code:200 ~keep
 
-(* Deliberately bypasses the access log: a monitoring scraper polling
-   every few seconds would otherwise drown the real traffic records. *)
-let enqueue_status t conn (req : Http.Request.t) ~keep ~head_only =
-  let body, content_type =
-    match status_window req with
-    | Some n -> (window_body t n, "application/json")
-    | None ->
-        let json = wants_json req in
-        ( status_body t ~json,
-          if json then "application/json" else "text/plain" )
-  in
-  count_status t 200;
+(* The built-in endpoints (status, metrics, trace) bypass the access
+   log: a monitoring scraper polling every few seconds would otherwise
+   drown the real traffic records. *)
+let enqueue_endpoint t conn ~keep ~head_only (body, content_type) =
   let header =
     render_header t ~status:Http.Status.Ok ~content_type:(Some content_type)
       ~content_length:(Some (String.length body))
@@ -1748,41 +1744,7 @@ let enqueue_status t conn (req : Http.Request.t) ~keep ~head_only =
   in
   enqueue_string t conn header;
   if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* Like the status endpoint, bypasses the access log. *)
-let enqueue_metrics t conn ~keep ~head_only =
-  let body = metrics_body t in
-  count_status t 200;
-  let header =
-    render_header t ~status:Http.Status.Ok
-      ~content_type:(Some "text/plain; version=0.0.4")
-      ~content_length:(Some (String.length body))
-      ~keep
-  in
-  enqueue_string t conn header;
-  if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
-
-(* Like the status endpoint, bypasses the access log. *)
-let enqueue_trace t conn ~keep ~head_only =
-  let body = trace_body t in
-  count_status t 200;
-  let header =
-    render_header t ~status:Http.Status.Ok
-      ~content_type:(Some "application/json")
-      ~content_length:(Some (String.length body))
-      ~keep
-  in
-  enqueue_string t conn header;
-  if not head_only then enqueue_string t conn body;
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  commit t conn ~code:200 ~keep
 
 (* ------------------------------------------------------------------ *)
 (* Serving files                                                       *)
@@ -1926,7 +1888,6 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
    the entry's mapping — one gather write, zero body copies. *)
 let enqueue_partial t conn (req : Http.Request.t) ~full
     (entry : File_cache.entry) ~keep ~off ~len =
-  count_status t 206;
   log_access ~conn ~path:full t
     ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
     ~target:req.Http.Request.raw_target ~status:206 ~bytes:len;
@@ -1951,12 +1912,10 @@ let enqueue_partial t conn (req : Http.Request.t) ~full
   in
   enqueue_string t conn header;
   Sendq.push_slice conn.outq (Iovec.slice ~off ~len entry.File_cache.body);
-  if not keep then conn.close_after_flush <- true;
-  conn.state <- Reading;
-  record_latency t conn
+  commit t conn ~code:206 ~keep
 
 (* The single dispatch point for serving a cache entry (origin or
-   negotiated variant) in the event-driven modes: evaluate conditionals
+   negotiated variant), in every mode: evaluate conditionals
    and the Range field against the selected representation, then take
    the zero-copy path the plan names. *)
 let enqueue_response t conn (req : Http.Request.t) ~full
@@ -1997,6 +1956,7 @@ let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
         let entry = make_entry t fd full ~size ~mtime in
         Unix.close fd;
         with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
+        mp_ship_gauges t;
         let entry = negotiate_entry t req ~full entry in
         enqueue_response t conn req ~full entry ~keep ~head_only
       end
@@ -2023,7 +1983,6 @@ let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
                 [ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
               ()
         | P_slice (off, len) ->
-            count_status t 206;
             log_access ~conn ~path:full t ~meth ~target ~status:206 ~bytes:len;
             let extra =
               [
@@ -2042,11 +2001,8 @@ let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
             enqueue_string t conn header;
             ignore (Unix.lseek fd off Unix.SEEK_SET);
             Sendq.push_file conn.outq fd ~len;
-            if not keep then conn.close_after_flush <- true;
-            conn.state <- Reading;
-            record_latency t conn
+            commit t conn ~code:206 ~keep
         | P_full ->
-            count_status t 200;
             log_access ~conn ~path:full t ~meth ~target ~status:200
               ~bytes:(if head_only then 0 else size);
             let header =
@@ -2059,9 +2015,7 @@ let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
             enqueue_string t conn header;
             if head_only then Unix.close fd
             else Sendq.push_file conn.outq fd ~len:size;
-            if not keep then conn.close_after_flush <- true;
-            conn.state <- Reading;
-            record_latency t conn
+            commit t conn ~code:200 ~keep
       end
 
 (* ------------------------------------------------------------------ *)
@@ -2098,7 +2052,6 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
           Unix.close dev_null;
           Unix.close pipe_write;
           Unix.set_nonblock pipe_read;
-          count_status t 200;
           let header =
             render_header t ~status:Http.Status.Ok ~content_type:None
               ~content_length:None ~keep:false
@@ -2106,34 +2059,32 @@ let start_cgi t conn (req : Http.Request.t) full ~keep:_ =
           enqueue_string t conn header;
           conn.close_after_flush <- false;
           conn.state <- Streaming_cgi (pipe_read, pid);
-          t.cgi_inflight <- t.cgi_inflight + 1;
-          (* Wall-clock deadline: a wedged script is killed rather than
-             holding the connection (and a helper-less loop's pipe slot)
-             forever. *)
-          if t.config.cgi_timeout > 0. then
-            conn.cgi_timer <-
-              Some
-                (Evio.Timer_wheel.schedule t.wheel
-                   ~at:(t.config.clock () +. t.config.cgi_timeout)
-                   (T_cgi conn)))
+          t.cgi_inflight <- t.cgi_inflight + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let process_request t conn (req : Http.Request.t) =
-  t.n_requests <- t.n_requests + 1;
   let keep = Http.Request.keep_alive req in
   let head_only = req.Http.Request.meth = Http.Request.Head in
   match req.Http.Request.meth with
   | Http.Request.Post | Http.Request.Other _ ->
       enqueue_error t conn Http.Status.Not_implemented ~keep:false ~head_only
   | Http.Request.Get | Http.Request.Head -> (
-      if is_status_request t req then enqueue_status t conn req ~keep ~head_only
+      if is_status_request t req then
+        enqueue_endpoint t conn ~keep ~head_only
+          (match status_window req with
+          | Some n -> (window_body t n, "application/json")
+          | None ->
+              let json = wants_json req in
+              ( status_body t ~json,
+                if json then "application/json" else "text/plain" ))
       else if is_metrics_request t req then
-        enqueue_metrics t conn ~keep ~head_only
+        enqueue_endpoint t conn ~keep ~head_only
+          (metrics_body t, "text/plain; version=0.0.4")
       else if is_trace_request t req then
-        enqueue_trace t conn ~keep ~head_only
+        enqueue_endpoint t conn ~keep ~head_only (trace_body t, "application/json")
       else begin
         (* Pathname translation + cache lookup, as its own span. *)
         let resolve_sp = ref None in
@@ -2142,7 +2093,7 @@ let process_request t conn (req : Http.Request.t) =
             | Some tr ->
                 resolve_sp :=
                   Some
-                    (Obs.Trace.begin_span tracer tr ~track:(current_track t)
+                    (Obs.Trace.begin_span tracer tr ~track:conn.track
                        "resolve")
             | None -> ());
         let end_resolve () =
@@ -2228,8 +2179,9 @@ let process_request t conn (req : Http.Request.t) =
                             Http.Status.Service_unavailable ~keep ~head_only
                         end)
                 | None -> (
-                    (* SPED: inline — the whole loop stalls on a miss,
-                       and the disk span lands on the main-loop track. *)
+                    (* SPED, MP and MT: inline — a SPED loop stalls on a
+                       miss, an MP child or MT worker blocks alone; the
+                       disk span lands on the serving loop's track. *)
                     begin_work_span t conn "disk-read";
                     slow_read_hook t full;
                     match Unix.stat full with
@@ -2247,42 +2199,16 @@ let process_request t conn (req : Http.Request.t) =
 let rec try_parse t conn =
   if conn.state = Reading && conn.inbuf <> "" then begin
     ensure_trace t conn;
-    (* Slow-header defense: from the first byte of a request head, the
-       rest must arrive within the deadline.  One one-shot timer per
-       head; cancelled the moment the head parses (or fails to). *)
-    (match t.guard with
-    | Some g
-      when conn.hdr_timer = None && (Guard.config g).Guard.header_deadline > 0.
-      ->
-        conn.hdr_timer <-
-          Some
-            (Evio.Timer_wheel.schedule t.wheel
-               ~at:(t.config.clock () +. (Guard.config g).Guard.header_deadline)
-               (T_hdr conn))
-    | _ -> ());
     match Http.Request.parse conn.inbuf with
     | Http.Request.Incomplete -> ()
     | Http.Request.Bad _ ->
-        conn.hdr_timer <- cancel_timer t conn.hdr_timer;
         conn.inbuf <- "";
         conn.req_start <- t.config.clock ();
         end_parse_span t conn ~label:"bad-request";
         t.n_requests <- t.n_requests + 1;
-        let body = Http.Response.error_body Http.Status.Bad_request in
-        let header =
-          render_header t ~status:Http.Status.Bad_request
-            ~content_type:(Some "text/html")
-            ~content_length:(Some (String.length body))
-            ~keep:false
-        in
-        t.n_errors <- t.n_errors + 1;
-        count_status t 400;
-        enqueue_string t conn header;
-        enqueue_string t conn body;
-        conn.close_after_flush <- true;
-        record_latency t conn
+        enqueue_error ~log:false t conn Http.Status.Bad_request ~keep:false
+          ~head_only:false
     | Http.Request.Complete (req, consumed) ->
-        conn.hdr_timer <- cancel_timer t conn.hdr_timer;
         conn.inbuf <-
           String.sub conn.inbuf consumed (String.length conn.inbuf - consumed);
         conn.req_start <- t.config.clock ();
@@ -2290,6 +2216,7 @@ let rec try_parse t conn =
           ~label:
             (Http.Request.meth_to_string req.Http.Request.meth
             ^ " " ^ req.Http.Request.raw_target);
+        t.n_requests <- t.n_requests + 1;
         let rate_verdict =
           match t.guard with
           | Some g -> Guard.on_request g ~peer:conn.peer
@@ -2300,7 +2227,6 @@ let rec try_parse t conn =
             (* Over the per-peer rate cap (the guard counted the shed):
                429 with advice, and drop the connection so a looping
                client can't ride keep-alive. *)
-            t.n_requests <- t.n_requests + 1;
             enqueue_error ~extra:(guard_retry t) t conn
               Http.Status.Too_many_requests ~keep:false ~head_only:false
         | Guard.Admit -> process_request t conn req);
@@ -2309,30 +2235,19 @@ let rec try_parse t conn =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Connection IO                                                       *)
+(* Connection IO, shared by the event loop and the blocking loop      *)
 (* ------------------------------------------------------------------ *)
 
-(* Forget the CGI pipe's registration (before the fd is closed, so the
-   backend never holds a recycled descriptor). *)
-let unregister_cgi t conn =
-  match conn.cgi_fd_registered with
-  | None -> ()
-  | Some pfd ->
-      Evio.Backend.deregister t.evio pfd;
-      Hashtbl.remove t.fd_owners pfd;
-      conn.cgi_fd_registered <- None
-
+(* Release a connection's own resources.  The event loop's
+   registrations and timers are dropped by [forget_conn], which the
+   loop runs right after the handler that closed the connection
+   returns — before anything can reuse its descriptor numbers. *)
 let close_conn t conn =
   if conn.alive then begin
     conn.alive <- false;
     (* A request still in flight (client hung up, error path) gets its
        trace closed here rather than lost. *)
     finish_request_trace ~closing:true t conn;
-    unregister_cgi t conn;
-    conn.idle_timer <- cancel_timer t conn.idle_timer;
-    conn.cgi_timer <- cancel_timer t conn.cgi_timer;
-    conn.hdr_timer <- cancel_timer t conn.hdr_timer;
-    conn.xfer_timer <- cancel_timer t conn.xfer_timer;
     (match t.guard with
     | Some g -> Guard.on_disconnect g ~peer:conn.peer
     | None -> ());
@@ -2344,44 +2259,9 @@ let close_conn t conn =
     | Reading | Waiting_helper _ -> ());
     Sendq.close_files conn.outq;
     Sendq.clear conn.outq;
-    Hashtbl.remove t.conns conn.key;
-    Hashtbl.remove t.by_helper_key conn.key;
-    if conn.registered then begin
-      Evio.Backend.deregister t.evio conn.fd;
-      conn.registered <- false
-    end;
-    Hashtbl.remove t.fd_owners conn.fd;
     with_obs_lock t (fun () -> Obs.Gauge.decr t.active);
+    mp_ship_gauges t;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* Reconcile a connection's readiness interest with its state: read
-   while parsing, write while the send queue has bytes, and the CGI
-   pipe while streaming.  Diffed against the last pushed interest so an
-   unchanged connection costs no syscall ([epoll_ctl]) and no rebuild
-   (poll). *)
-let sync_conn t conn =
-  if conn.alive then begin
-    let r = conn.state = Reading in
-    let w = not (Sendq.is_empty conn.outq) in
-    if (not conn.registered) || r <> conn.want_read || w <> conn.want_write
-    then begin
-      Evio.Backend.modify t.evio conn.fd ~read:r ~write:w;
-      conn.registered <- true;
-      conn.want_read <- r;
-      conn.want_write <- w
-    end;
-    match (conn.state, conn.cgi_fd_registered) with
-    | Streaming_cgi (pfd, _), None -> (
-        (* The CGI pipe fd can itself land beyond select's FD_SETSIZE;
-           a stream we cannot wait on must drop the connection rather
-           than the loop. *)
-        match Evio.Backend.register t.evio pfd ~read:true ~write:false with
-        | () ->
-            Hashtbl.replace t.fd_owners pfd (O_cgi conn);
-            conn.cgi_fd_registered <- Some pfd
-        | exception Evio.Backend_full _ -> close_conn t conn)
-    | _ -> ()
   end
 
 (* The head-request buffer: reads land in the connection's reusable
@@ -2389,26 +2269,32 @@ let sync_conn t conn =
    against a client streaming junk or very deep pipelines. *)
 let max_inbuf = 262144
 
-let handle_readable t conn =
-  let cap = Bytes.length conn.readbuf in
-  match Unix.read conn.fd conn.readbuf 0 cap with
-  | 0 -> close_conn t conn
-  | n ->
-      conn.last_active <- t.config.clock ();
-      conn.recv_bytes <- conn.recv_bytes + n;
-      conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.readbuf 0 n;
-      if String.length conn.inbuf > max_inbuf then close_conn t conn
-      else try_parse t conn
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ -> close_conn t conn
+(* [n] fresh bytes sit at the front of [readbuf]. *)
+let on_input t conn n =
+  conn.last_active <- t.config.clock ();
+  conn.recv_bytes <- conn.recv_bytes + n;
+  conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.readbuf 0 n;
+  if String.length conn.inbuf > max_inbuf then close_conn t conn
+  else try_parse t conn
+
+(* The header deadline lapsed mid-head: discard the partial bytes and
+   answer 408 — a byte-at-a-time sender gets a response and a close
+   instead of a held parse buffer. *)
+let request_timeout t conn =
+  guard_shed t Guard.Slow_header;
+  conn.inbuf <- "";
+  t.n_requests <- t.n_requests + 1;
+  enqueue_error t conn Http.Status.Request_timeout ~keep:false ~head_only:false
 
 (* Flush queued slices with gather writes: everything contiguous at the
    head of the queue — header + body of one response, or several
    pipelined responses — goes to the kernel in one [writev].  A partial
-   write advances slice offsets in place and waits for the next
-   writability event.  With the copying fallback the same gather is
-   staged through the scratch buffer and written with one scalar
-   [write] — the measured difference between the two paths. *)
+   write advances slice offsets in place; on a nonblocking socket the
+   rest waits for the next writability event, on a blocking one the
+   loop simply calls again.  With the copying fallback the same
+   gather is staged through the connection's read scratch (free between
+   reads) and written with one scalar [write] — the measured difference
+   between the two paths. *)
 let handle_writable t conn =
   conn.last_active <- t.config.clock ();
   let progress = ref true in
@@ -2426,7 +2312,7 @@ let handle_writable t conn =
              end
              else begin
                let n, copied =
-                 Iovec.writev_copy ~scratch:t.send_scratch conn.fd slices
+                 Iovec.writev_copy ~scratch:conn.readbuf conn.fd slices
                in
                count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
                (n, n < copied)
@@ -2468,29 +2354,128 @@ let handle_writable t conn =
         else try_parse t conn
   end
 
-let handle_cgi_readable t conn fd pid =
+(* The script's output ended — EOF, a read error, or its wall-clock
+   deadline ([~kill]) — so reap it, commit the request and close once
+   the queue drains. *)
+let end_cgi ?(kill = false) t conn fd pid =
+  if kill then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  t.cgi_inflight <- t.cgi_inflight - 1;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (try ignore (Unix.waitpid (if kill then [] else [ Unix.WNOHANG ]) pid)
+   with Unix.Unix_error _ -> ());
+  commit t conn ~code:200 ~keep:false;
+  if Sendq.is_empty conn.outq then close_conn t conn
+
+(* Move whatever the script has written into the send queue. *)
+let pump_cgi t conn fd pid =
   let buf = Bytes.create 16384 in
   match Unix.read fd buf 0 16384 with
-  | 0 ->
-      unregister_cgi t conn;
-      conn.cgi_timer <- cancel_timer t conn.cgi_timer;
-      t.cgi_inflight <- t.cgi_inflight - 1;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid) with Unix.Unix_error _ -> ());
-      conn.state <- Reading;
-      conn.close_after_flush <- true;
-      record_latency t conn;
-      if Sendq.is_empty conn.outq then close_conn t conn
+  | 0 -> end_cgi t conn fd pid
   | n -> enqueue_string t conn (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ ->
-      unregister_cgi t conn;
-      conn.cgi_timer <- cancel_timer t conn.cgi_timer;
-      t.cgi_inflight <- t.cgi_inflight - 1;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      conn.state <- Reading;
-      conn.close_after_flush <- true;
-      record_latency t conn
+  | exception Unix.Unix_error _ -> end_cgi t conn fd pid
+
+(* ------------------------------------------------------------------ *)
+(* The event loop: readiness, timers and the loop's tables             *)
+(* ------------------------------------------------------------------ *)
+
+(* Forget the CGI pipe's registration. *)
+let unregister_cgi t conn =
+  match conn.cgi_fd_registered with
+  | None -> ()
+  | Some pfd ->
+      Evio.Backend.deregister t.evio pfd;
+      Hashtbl.remove t.fd_owners pfd;
+      conn.cgi_fd_registered <- None
+
+let cancel_timer t slot =
+  match slot with
+  | Some tm ->
+      Evio.Timer_wheel.cancel t.wheel tm;
+      None
+  | None -> None
+
+(* The loop's half of closing a connection: readiness, timers, tables. *)
+let forget_conn t conn =
+  if conn.registered then begin
+    Evio.Backend.deregister t.evio conn.fd;
+    conn.registered <- false
+  end;
+  unregister_cgi t conn;
+  conn.idle_timer <- cancel_timer t conn.idle_timer;
+  conn.cgi_timer <- cancel_timer t conn.cgi_timer;
+  conn.hdr_timer <- cancel_timer t conn.hdr_timer;
+  conn.xfer_timer <- cancel_timer t conn.xfer_timer;
+  Hashtbl.remove t.conns conn.key;
+  Hashtbl.remove t.by_helper_key conn.key;
+  Hashtbl.remove t.fd_owners conn.fd
+
+let drop_conn t conn =
+  close_conn t conn;
+  forget_conn t conn
+
+(* Reconcile a connection's readiness interest and timers with its
+   state after every handler: read while parsing, write while the send
+   queue has bytes, the CGI pipe (and its deadline) while streaming,
+   and the guard's header deadline while a request head is incomplete
+   with nothing queued ahead of it.  Interest is diffed against the
+   last push so an unchanged connection costs no syscall ([epoll_ctl])
+   and no rebuild (poll).  A connection the handler closed is
+   forgotten. *)
+let sync_conn t conn =
+  if not conn.alive then forget_conn t conn
+  else begin
+    let r = conn.state = Reading in
+    let w = not (Sendq.is_empty conn.outq) in
+    if (not conn.registered) || r <> conn.want_read || w <> conn.want_write
+    then begin
+      Evio.Backend.modify t.evio conn.fd ~read:r ~write:w;
+      conn.registered <- true;
+      conn.want_read <- r;
+      conn.want_write <- w
+    end;
+    (match t.guard with
+    | Some g when (Guard.config g).Guard.header_deadline > 0. ->
+        let in_head = r && (not w) && conn.inbuf <> "" in
+        if in_head && conn.hdr_timer = None then
+          conn.hdr_timer <-
+            Some
+              (Evio.Timer_wheel.schedule t.wheel
+                 ~at:(t.config.clock () +. (Guard.config g).Guard.header_deadline)
+                 (T_hdr conn))
+        else if not in_head then conn.hdr_timer <- cancel_timer t conn.hdr_timer
+    | _ -> ());
+    match (conn.state, conn.cgi_fd_registered) with
+    | Streaming_cgi (pfd, _), None -> (
+        (* The CGI pipe fd can itself land beyond select's FD_SETSIZE;
+           a stream we cannot wait on must drop the connection rather
+           than the loop. *)
+        match Evio.Backend.register t.evio pfd ~read:true ~write:false with
+        | () ->
+            Hashtbl.replace t.fd_owners pfd (O_cgi conn);
+            conn.cgi_fd_registered <- Some pfd;
+            (* Wall-clock deadline: a wedged script is killed rather
+               than holding the connection (and a helper-less loop's
+               pipe slot) forever. *)
+            if t.config.cgi_timeout > 0. then
+              conn.cgi_timer <-
+                Some
+                  (Evio.Timer_wheel.schedule t.wheel
+                     ~at:(conn.req_start +. t.config.cgi_timeout)
+                     (T_cgi conn))
+        | exception Evio.Backend_full _ -> drop_conn t conn)
+    | (Reading | Waiting_helper _), Some _ ->
+        unregister_cgi t conn;
+        conn.cgi_timer <- cancel_timer t conn.cgi_timer
+    | _ -> ()
+  end
+
+let handle_readable t conn =
+  match Unix.read conn.fd conn.readbuf 0 (Bytes.length conn.readbuf) with
+  | 0 -> close_conn t conn
+  | n -> on_input t conn n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error _ -> close_conn t conn
 
 (* A prefetch job finished: the helper already paged the file in, so
    the mmap + header rendering here never touch cold disk.  The entry
@@ -2614,10 +2599,9 @@ let refuse_fd t fd reason =
     | Guard.Conn_limit | Guard.Rate_limit -> Http.Status.Too_many_requests
     | _ -> Http.Status.Service_unavailable
   in
-  t.n_connections <- t.n_connections + 1;
+  count_connection t;
   t.n_requests <- t.n_requests + 1;
-  t.n_errors <- t.n_errors + 1;
-  count_status t (Http.Status.code status);
+  count_response t ~code:(Http.Status.code status) ~latency:Float.nan;
   let retry =
     match t.guard with
     | Some g -> (Guard.config g).Guard.retry_after
@@ -2636,14 +2620,9 @@ let refuse_fd t fd reason =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Adopt an accepted fd into this instance's event loop: create the
-   connection record, register interest, arm the idle timer.  Shared by
-   the direct accept path and the hand-off pop path (a shard adopting
-   an fd the coordinator accepted).  Returns [false] when the backend
-   refused the fd (shed; the caller decides whether to back off). *)
-let adopt_fd t fd =
-  Unix.set_nonblock fd;
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+(* Admit an accepted fd past the guard and build its connection record
+   — both loops' first step.  [None]: refused at the door. *)
+let open_conn t fd ~key =
   let peer = peer_of_fd fd in
   match
     match t.guard with
@@ -2651,73 +2630,85 @@ let adopt_fd t fd =
     | None -> Guard.Admit
   with
   | Guard.Reject reason ->
-      (* Refused at the door, but the listen socket is fine: keep
-         accepting (return [true] so the caller doesn't back off). *)
       refuse_fd t fd reason;
-      true
+      None
   | Guard.Admit ->
-  let key = t.next_key in
-  t.next_key <- t.next_key + 1;
-  t.n_connections <- t.n_connections + 1;
-  with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
-  let now = t.config.clock () in
-  let conn =
-    {
-      fd;
-      key;
-      peer;
-      inbuf = "";
-      readbuf = Bytes.create 65536;
-      outq = Sendq.create ();
-      state = Reading;
-      close_after_flush = false;
-      last_active = now;
-      req_start = now;
-      alive = true;
-      accepted_at = now;
-      reqs_served = 0;
-      want_read = false;
-      want_write = false;
-      registered = false;
-      cgi_fd_registered = None;
-      idle_timer = None;
-      cgi_timer = None;
-      hdr_timer = None;
-      xfer_timer = None;
-      sent_bytes = 0;
-      recv_bytes = 0;
-      xfer_mark = 0;
-      trace = None;
-      parse_span = None;
-      work_span = None;
-      write_span = None;
-    }
-  in
-  Hashtbl.replace t.conns key conn;
-  Hashtbl.replace t.fd_owners fd (O_client conn);
-  match sync_conn t conn with
-  | () ->
-      if t.config.idle_timeout > 0. then
-        conn.idle_timer <-
-          Some
-            (Evio.Timer_wheel.schedule t.wheel
-               ~at:(now +. t.config.idle_timeout)
-               (T_idle conn));
-      (match t.guard with
-      | Some g when (Guard.config g).Guard.min_byte_rate > 0. ->
-          conn.xfer_timer <-
-            Some
-              (Evio.Timer_wheel.schedule t.wheel
-                 ~at:(now +. (Guard.config g).Guard.transfer_interval)
-                 (T_xfer conn))
-      | _ -> ());
-      true
-  | exception Evio.Backend_full _ ->
-      (* select cannot wait on fd numbers >= FD_SETSIZE: shed this
-         connection; the caller backs off exactly as if the process
-         were out of descriptors. *)
-      close_conn t conn;
-      false
+      count_connection t;
+      with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
+      mp_ship_gauges t;
+      let now = t.config.clock () in
+      Some
+        {
+          fd;
+          key;
+          peer;
+          inbuf = "";
+          readbuf = Bytes.create 65536;
+          outq = Sendq.create ();
+          state = Reading;
+          close_after_flush = false;
+          last_active = now;
+          req_start = now;
+          alive = true;
+          accepted_at = now;
+          reqs_served = 0;
+          track = current_track t;
+          want_read = false;
+          want_write = false;
+          registered = false;
+          cgi_fd_registered = None;
+          idle_timer = None;
+          cgi_timer = None;
+          hdr_timer = None;
+          xfer_timer = None;
+          sent_bytes = 0;
+          recv_bytes = 0;
+          xfer_mark = 0;
+          trace = None;
+          parse_span = None;
+          work_span = None;
+          write_span = None;
+        }
+
+(* Adopt an accepted fd into this instance's event loop: register
+   interest, arm the idle timer.  Shared by the direct accept path and
+   the hand-off pop path (a shard adopting an fd the coordinator
+   accepted).  Returns [false] when the backend refused the fd (shed;
+   the caller decides whether to back off); a guard refusal keeps
+   accepting, since the listen socket is fine. *)
+let adopt_fd t fd =
+  Unix.set_nonblock fd;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  match open_conn t fd ~key:t.next_key with
+  | None -> true
+  | Some conn -> (
+      t.next_key <- t.next_key + 1;
+      Hashtbl.replace t.conns conn.key conn;
+      Hashtbl.replace t.fd_owners fd (O_client conn);
+      match sync_conn t conn with
+      | () ->
+          let now = conn.accepted_at in
+          if t.config.idle_timeout > 0. then
+            conn.idle_timer <-
+              Some
+                (Evio.Timer_wheel.schedule t.wheel
+                   ~at:(now +. t.config.idle_timeout)
+                   (T_idle conn));
+          (match t.guard with
+          | Some g when (Guard.config g).Guard.min_byte_rate > 0. ->
+              conn.xfer_timer <-
+                Some
+                  (Evio.Timer_wheel.schedule t.wheel
+                     ~at:(now +. (Guard.config g).Guard.transfer_interval)
+                     (T_xfer conn))
+          | _ -> ());
+          true
+      | exception Evio.Backend_full _ ->
+          (* select cannot wait on fd numbers >= FD_SETSIZE: shed this
+             connection; the caller backs off exactly as if the process
+             were out of descriptors. *)
+          drop_conn t conn;
+          false)
 
 (* Hand an accepted fd to a shard over the ring, then poke one shard's
    wake pipe round-robin.  Whoever wakes first drains the ring, so the
@@ -2780,7 +2771,7 @@ let handle_timer t ~now ev =
           conn.state = Reading
           && Sendq.is_empty conn.outq
           && now -. conn.last_active > t.config.idle_timeout
-        then close_conn t conn
+        then drop_conn t conn
         else
           let at =
             if conn.state = Reading && Sendq.is_empty conn.outq then
@@ -2793,9 +2784,9 @@ let handle_timer t ~now ev =
       conn.cgi_timer <- None;
       if conn.alive then
         match conn.state with
-        | Streaming_cgi (_, pid) ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            close_conn t conn
+        | Streaming_cgi (fd, pid) ->
+            end_cgi ~kill:true t conn fd pid;
+            sync_conn t conn
         | Reading | Waiting_helper _ -> ())
   | T_resume_accept ->
       if t.accept_paused then begin
@@ -2816,16 +2807,10 @@ let handle_timer t ~now ev =
         (Evio.Timer_wheel.schedule t.wheel ~at:(now +. interval) T_rollup)
   | T_hdr conn ->
       conn.hdr_timer <- None;
-      (* The deadline only fires while a head is still incomplete —
-         [try_parse] cancels it on Complete and Bad.  Discard the
-         partial bytes and answer 408; a byte-at-a-time sender gets a
-         response and a close instead of a held parse buffer. *)
+      (* Armed only while a head is incomplete; [sync_conn] cancels it
+         once the head parses (or fails to). *)
       if conn.alive && conn.state = Reading && conn.inbuf <> "" then begin
-        guard_shed t Guard.Slow_header;
-        conn.inbuf <- "";
-        t.n_requests <- t.n_requests + 1;
-        enqueue_error t conn Http.Status.Request_timeout ~keep:false
-          ~head_only:false;
+        request_timeout t conn;
         sync_conn t conn
       end
   | T_xfer conn -> (
@@ -2845,7 +2830,7 @@ let handle_timer t ~now ev =
                  header is already on the wire, so there is nothing to
                  send but the close itself. *)
               guard_shed t Guard.Slow_client;
-              close_conn t conn
+              drop_conn t conn
             end
             else begin
               conn.xfer_mark <- conn.sent_bytes + conn.recv_bytes;
@@ -2886,7 +2871,7 @@ let handle_timer t ~now ev =
              List.iter
                (fun conn ->
                  guard_shed t Guard.Idle_reap;
-                 close_conn t conn)
+                 drop_conn t conn)
                victims
            end);
           ignore
@@ -3011,7 +2996,7 @@ let dispatch_event t (ev : Evio.event) =
       if conn.alive then
         match conn.state with
         | Streaming_cgi (fd, pid) ->
-            handle_cgi_readable t conn fd pid;
+            pump_cgi t conn fd pid;
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
@@ -3093,453 +3078,64 @@ let run_loop t =
     Obs.Watchdog.check t.watchdog
   done;
   (* Drain: close everything. *)
-  Hashtbl.iter (fun _ conn -> close_conn t conn) (Hashtbl.copy t.conns)
+  Hashtbl.iter (fun _ conn -> drop_conn t conn) (Hashtbl.copy t.conns)
 
 (* ------------------------------------------------------------------ *)
-(* MP mode: forked blocking workers                                    *)
+(* The blocking loop: MP children and MT workers                       *)
 (* ------------------------------------------------------------------ *)
 
-let mp_count_event t ~tag ~latency =
-  match t.stats_pipe_write with
-  | Some w ->
-      (try
-         ignore (Unix.write w (stats_record ~tag ~latency) 0 9)
-       with Unix.Unix_error _ -> ());
-      (* Mirror locally so an MP child's /server-status shows its own
-         view (the copy-on-write fields are private to this child). *)
-      (match tag with
-      | 'c' -> t.n_connections <- t.n_connections + 1
-      | 'r' | 'e' ->
-          t.n_requests <- t.n_requests + 1;
-          if tag = 'e' then t.n_errors <- t.n_errors + 1;
-          Obs.Histogram.record t.latency latency
-      | _ -> ());
-      tick_recorder t
-  | None ->
-      with_obs_lock t (fun () ->
-          match tag with
-          | 'c' -> t.n_connections <- t.n_connections + 1
-          | 'r' | 'e' ->
-              t.n_requests <- t.n_requests + 1;
-              if tag = 'e' then t.n_errors <- t.n_errors + 1;
-              Obs.Histogram.record t.latency latency
-          | _ -> ());
-      tick_recorder t
-
-(* MP children ship each finished trace to the parent as a framed
-   binary record on the stats pipe.  Oversized traces (past PIPE_BUF
-   atomicity) are dropped rather than risk interleaving. *)
-let ship_trace t data =
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w ->
-      let payload = Obs.Trace.to_binary data in
-      let plen = String.length payload in
-      if plen <= 4000 then begin
-        let b = Bytes.create (3 + plen) in
-        Bytes.set b 0 'T';
-        Bytes.set b 1 (Char.chr (plen land 0xff));
-        Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
-        Bytes.blit_string payload 0 b 3 plen;
-        try ignore (Unix.write w b 0 (3 + plen)) with Unix.Unix_error _ -> ()
-      end
-
-(* Sequential, blocking request handling for one connection — the MP
-   child's whole world (§3.1).  Traces are built with explicit
-   timestamps around each blocking phase; in an MP child the finished
-   trace also rides the stats pipe so the parent's ring sees it. *)
-let mp_serve_connection t fd =
+(* One connection served to completion on a blocking socket — an MP
+   child's or MT worker's whole world (§3.1).  Requests take the event
+   modes' own path ([try_parse] → [process_request] → the send queue);
+   only the waiting differs: flush the queue until it is empty, pump a
+   CGI pipe under its deadline, else read the next request bytes. *)
+let serve_blocking t fd =
   Unix.clear_nonblock fd;
-  let peer = peer_of_fd fd in
-  match
-    match t.guard with
-    | Some g -> Guard.on_connect g ~peer
-    | None -> Guard.Admit
-  with
-  | Guard.Reject reason ->
-      (* MP children and MT workers refuse at the door like the
-         event-driven modes; in an MP child the counters are the
-         child's copy-on-write view. *)
-      mp_count_event t ~tag:'c' ~latency:0.;
-      refuse_fd t fd reason
-  | Guard.Admit ->
-  (* Blocking-path approximation of the header deadline: a receive
-     timeout on the socket, checked per read.  A lapse mid-head answers
-     408 below. *)
-  (match t.guard with
-  | Some g when (Guard.config g).Guard.header_deadline > 0. -> (
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-          (Guard.config g).Guard.header_deadline
-      with Unix.Unix_error _ | Invalid_argument _ -> ())
-  | _ -> ());
-  mp_count_event t ~tag:'c' ~latency:0.;
-  with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
-  mp_ship_gauges t;
-  let accepted = t.config.clock () in
-  let track = current_track t in
-  let buf = Bytes.create 65536 in
-  (* Copying-fallback staging buffer, allocated only if this worker ever
-     takes the scalar-write path. *)
-  let scratch = lazy (Bytes.create 65536) in
-  (* Blocking gather-write: drain the slices with [writev] (or the
-     copying fallback), resuming partial writes by advancing offsets.
-     Errors (peer gone) abandon the rest, matching the old behaviour. *)
-  let send_slices slices =
-    try
-      let rec flush () =
-        let live = Array.of_seq (Seq.filter (fun s -> s.Iovec.len > 0)
-                                   (Array.to_seq slices)) in
-        if Array.length live > 0 then begin
-          match
-            if t.gather_writes then begin
-              let n = Iovec.writev fd live in
-              count_send t ~writev:1 ~writes:0 ~copied:0 ~sent:n;
-              n
-            end
-            else begin
-              let n, copied =
-                Iovec.writev_copy ~scratch:(Lazy.force scratch) fd live
+  match open_conn t fd ~key:0 with
+  | None -> ()
+  | Some conn ->
+      (* The guard's header deadline becomes a receive timeout, checked
+         per read. *)
+      (match t.guard with
+      | Some g when (Guard.config g).Guard.header_deadline > 0. -> (
+          try
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+              (Guard.config g).Guard.header_deadline
+          with Unix.Unix_error _ | Invalid_argument _ -> ())
+      | _ -> ());
+      let deadline = t.config.cgi_timeout > 0. in
+      while conn.alive do
+        if not (Sendq.is_empty conn.outq) then handle_writable t conn
+        else
+          match conn.state with
+          | Streaming_cgi (pfd, pid) -> (
+              let left =
+                conn.req_start +. t.config.cgi_timeout -. t.config.clock ()
               in
-              count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
-              n
-            end
-          with
-          | n ->
-              Iovec.advance live n;
-              flush ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush ()
-        end
-      in
-      flush ()
-    with Unix.Unix_error _ -> ()
-  in
-  (* Strings (error pages, status bodies) are copied off-heap once and
-     sent through the same gather path. *)
-  let send_strings parts =
-    let copied = List.fold_left (fun acc s -> acc + String.length s) 0 parts in
-    count_send t ~writev:0 ~writes:0 ~copied;
-    send_slices
-      (Array.of_list
-         (List.filter_map
-            (fun s ->
-              if s = "" then None else Some (Iovec.slice (Iovec.of_string s)))
-            parts))
-  in
-  (* [t_first]: when the current request's first bytes arrived (parse
-     span start); [nreq]: finished requests on this connection. *)
-  let rec request_loop inbuf t_first nreq =
-    match Http.Request.parse inbuf with
-    | Http.Request.Incomplete -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-            let t_first =
-              if t_first = None then Some (t.config.clock ()) else t_first
-            in
-            request_loop (inbuf ^ Bytes.sub_string buf 0 n) t_first nreq
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            (* Only SO_RCVTIMEO produces EAGAIN on this blocking socket.
-               A lapse mid-head is a slow sender (408); with no bytes
-               pending it is just an idle keep-alive going away. *)
-            if inbuf <> "" then begin
-              guard_shed t Guard.Slow_header;
-              count_status t 408;
-              let body =
-                Http.Response.error_body Http.Status.Request_timeout
-              in
-              let header =
-                render_header t ~status:Http.Status.Request_timeout
-                  ~content_type:(Some "text/html")
-                  ~content_length:(Some (String.length body))
-                  ~keep:false
-              in
-              send_strings [ header; body ]
-            end
-        | exception Unix.Unix_error _ -> ())
-    | Http.Request.Bad _ ->
-        count_status t 400;
-        let body = Http.Response.error_body Http.Status.Bad_request in
-        let header =
-          render_header t ~status:Http.Status.Bad_request
-            ~content_type:(Some "text/html")
-            ~content_length:(Some (String.length body))
-            ~keep:false
-        in
-        send_strings [ header; body ]
-    | Http.Request.Complete (req, consumed) -> (
-        let started = t.config.clock () in
-        let keep = Http.Request.keep_alive req in
-        let head_only = req.Http.Request.meth = Http.Request.Head in
-        let tr =
-          match t.tracer with
-          | None -> None
-          | Some tracer ->
-              let label =
-                Http.Request.meth_to_string req.Http.Request.meth
-                ^ " " ^ req.Http.Request.raw_target
-              in
-              Some
-                (with_obs_lock t (fun () ->
-                     let tr =
-                       if nreq = 0 then begin
-                         let tr =
-                           Obs.Trace.start tracer ~at:accepted ~label ()
-                         in
-                         Obs.Trace.add_span tracer ~track ~name:"accept"
-                           ~start:accepted ~stop:accepted tr;
-                         tr
-                       end
-                       else begin
-                         let tr = Obs.Trace.start tracer ~label () in
-                         Obs.Trace.instant tracer tr ~track "keepalive-reuse";
-                         tr
-                       end
-                     in
-                     Obs.Trace.add_span tracer ~track ~name:"parse"
-                       ~start:(Option.value t_first ~default:started)
-                       ~stop:started tr;
-                     tr))
-        in
-        let add_tr_span name ~start ~stop =
-          match (t.tracer, tr) with
-          | Some tracer, Some tr ->
-              with_obs_lock t (fun () ->
-                  Obs.Trace.add_span tracer ~track ~name ~start ~stop tr)
-          | _ -> ()
-        in
-        let send_traced f =
-          let w0 = t.config.clock () in
-          f ();
-          add_tr_span "write" ~start:w0 ~stop:(t.config.clock ())
-        in
-        let send parts = send_traced (fun () -> send_strings parts) in
-        let send_entry_slices slices =
-          send_traced (fun () -> send_slices slices)
-        in
-        let respond_error ?extra ?(keep = keep) status =
-          count_status t (Http.Status.code status);
-          let body = Http.Response.error_body status in
-          let header =
-            render_header t ~status ?extra ~content_type:(Some "text/html")
-              ~content_length:(Some (String.length body))
-              ~keep
-          in
-          send (if head_only then [ header ] else [ header; body ])
-        in
-        let rate_limited =
-          match t.guard with
-          | Some g -> (
-              match Guard.on_request g ~peer with
-              | Guard.Reject _ -> true
-              | Guard.Admit -> false)
-          | None -> false
-        in
-        let ok =
-          if rate_limited then begin
-            respond_error ~extra:(guard_retry t) ~keep:false
-              Http.Status.Too_many_requests;
-            false
-          end
-          else if is_status_request t req then begin
-            (* In an MP child this is the child-local view. *)
-            let body, content_type =
-              match status_window req with
-              | Some n -> (window_body t n, "application/json")
-              | None ->
-                  let json = wants_json req in
-                  ( status_body t ~json,
-                    if json then "application/json" else "text/plain" )
-            in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some content_type)
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else if is_metrics_request t req then begin
-            (* Child-local in MP children; the parent's consolidated
-               exposition is served from the parent process. *)
-            let body = metrics_body t in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some "text/plain; version=0.0.4")
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else if is_trace_request t req then begin
-            (* In an MP child this renders the child's own ring. *)
-            let body = trace_body t in
-            count_status t 200;
-            let header =
-              render_header t ~status:Http.Status.Ok
-                ~content_type:(Some "application/json")
-                ~content_length:(Some (String.length body))
-                ~keep
-            in
-            send (if head_only then [ header ] else [ header; body ]);
-            true
-          end
-          else
-          match resolve t req with
-          | Error status ->
-              respond_error status;
-              true
-          | Ok path -> (
-              let full = t.config.docroot ^ path in
-              (* Each MP process has its own cache instance (copied at
-                 fork): check it, else do the blocking work inline. *)
-              let lookup =
-                with_cache_lock t (fun () -> File_cache.find_trusted t.cache full)
-              in
-              add_tr_span "resolve" ~start:started ~stop:(t.config.clock ());
-              (* Same plan logic as the event-driven modes, expressed as
-                 one gather write per response over the blocking socket:
-                 a cached 304 is the entry's pre-rendered header slice,
-                 a 206 is a per-request header plus an offset window
-                 into the cached body. *)
-              let send_entry (entry : File_cache.entry) =
-                let entry = negotiate_entry t req ~full entry in
-                let size = File_cache.body_length entry in
-                match
-                  plan_for ~req
-                    ~etag:(etag_of_string entry.File_cache.etag)
-                    ~mtime:entry.File_cache.mtime ~size
-                with
-                | P_not_modified ->
-                    count_status t 304;
-                    send_entry_slices
-                      [|
-                        Iovec.slice
-                          (if keep then entry.File_cache.header_304_keep
-                           else entry.File_cache.header_304_close);
-                      |]
-                | P_precondition_failed ->
-                    respond_error Http.Status.Precondition_failed
-                | P_unsatisfiable ->
-                    respond_error Http.Status.Range_not_satisfiable
-                      ~extra:
-                        [
-                          ( "Content-Range",
-                            Http.Range.content_range_unsatisfied ~size );
-                        ]
-                | P_slice (off, len) ->
-                    count_status t 206;
-                    let extra =
-                      [
-                        ( "Content-Range",
-                          Http.Range.content_range ~off ~len ~size );
-                        ("ETag", entry.File_cache.etag);
-                        ("Accept-Ranges", "bytes");
-                      ]
-                      @ (match entry.File_cache.encoding with
-                        | Some e -> [ ("Content-Encoding", e) ]
-                        | None -> [])
-                      @ vary_extra t
-                    in
-                    let header =
-                      render_header t ~status:Http.Status.Partial_content
-                        ~last_modified:entry.File_cache.mtime ~extra
-                        ~content_type:(Some (Http.Mime.of_path full))
-                        ~content_length:(Some len) ~keep
-                    in
-                    let hbuf = Iovec.of_string header in
-                    count_send t ~writev:0 ~writes:0
-                      ~copied:(String.length header);
-                    send_entry_slices
-                      [|
-                        Iovec.slice hbuf;
-                        Iovec.slice ~off ~len entry.File_cache.body;
-                      |]
-                | P_full ->
-                    count_status t 200;
-                    let header =
-                      Iovec.slice
-                        (if keep then entry.File_cache.header_keep
-                         else entry.File_cache.header_close)
-                    in
-                    send_entry_slices
-                      (if head_only then [| header |]
-                       else [| header; Iovec.slice entry.File_cache.body |])
-              in
-              match lookup with
-              | Some entry ->
-                  send_entry entry;
-                  true
-              | None -> (
-                  (* Cold file: the blocking disk work happens right
-                     here, in the worker serving this connection — so
-                     the disk span lands on this worker's track. *)
-                  let disk_start = t.config.clock () in
-                  let end_disk () =
-                    add_tr_span "disk-read" ~start:disk_start
-                      ~stop:(t.config.clock ())
-                  in
-                  slow_read_hook t full;
-                  match Unix.stat full with
-                  | exception Unix.Unix_error _ ->
-                      end_disk ();
-                      respond_error Http.Status.Not_found;
-                      true
-                  | st when st.Unix.st_kind <> Unix.S_REG ->
-                      end_disk ();
-                      respond_error Http.Status.Forbidden;
-                      true
-                  | st -> (
-                      match Unix.openfile full [ Unix.O_RDONLY ] 0 with
-                      | exception Unix.Unix_error _ ->
-                          end_disk ();
-                          respond_error Http.Status.Not_found;
-                          true
-                      | file_fd ->
-                          (* Map the file; the mapping doubles as the
-                             response body, so even an uncacheable file
-                             is sent without a userspace body copy. *)
-                          let entry =
-                            make_entry t file_fd full ~size:st.Unix.st_size
-                              ~mtime:st.Unix.st_mtime
-                          in
-                          Unix.close file_fd;
-                          end_disk ();
-                          if st.Unix.st_size <= t.config.max_cached_file then begin
-                            with_cache_lock t (fun () ->
-                                File_cache.insert t.cache full entry);
-                            mp_ship_gauges t
-                          end;
-                          send_entry entry;
-                          true)))
-        in
-        let leftover =
-          String.sub inbuf consumed (String.length inbuf - consumed)
-        in
-        mp_count_event t ~tag:'r' ~latency:(t.config.clock () -. started);
-        (match (t.tracer, tr) with
-        | Some tracer, Some tr ->
-            let data = with_obs_lock t (fun () -> Obs.Trace.finish tracer tr) in
-            log_slow t data;
-            ship_trace t data
-        | _ -> ());
-        if ok && keep then
-          request_loop leftover
-            (if leftover = "" then None else Some (t.config.clock ()))
-            (nreq + 1))
-  in
-  request_loop "" None 0;
-  (match t.guard with
-  | Some g -> Guard.on_disconnect g ~peer
-  | None -> ());
-  with_obs_lock t (fun () -> Obs.Gauge.decr t.active);
-  mp_ship_gauges t;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+              if deadline && left <= 0. then end_cgi ~kill:true t conn pfd pid
+              else
+                let wait = if deadline then left else -1. in
+                match Unix.select [ pfd ] [] [] wait with
+                | [], _, _ -> ()
+                | _ -> pump_cgi t conn pfd pid
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+                | exception Unix.Unix_error _ ->
+                    end_cgi ~kill:true t conn pfd pid)
+          | Reading | Waiting_helper _ -> (
+              let cap = Bytes.length conn.readbuf in
+              match Unix.read fd conn.readbuf 0 cap with
+              | 0 -> close_conn t conn
+              | n -> on_input t conn n
+              | exception
+                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  (* Only SO_RCVTIMEO yields EAGAIN here.  A lapse
+                     mid-head is a slow sender (408); with no bytes
+                     pending it is an idle keep-alive going away. *)
+                  if conn.inbuf <> "" then request_timeout t conn
+                  else close_conn t conn
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | exception Unix.Unix_error _ -> close_conn t conn)
+      done
 
 (* MP children and MT workers accept through their own backend
    instance: a kernel interest set (epoll) must not be shared across
@@ -3548,18 +3144,14 @@ let mp_serve_connection t fd =
    and the same clean wakeup-on-stop (the wake pipe is registered but
    never drained — stop is terminal, so level-triggered readiness
    rouses every parked worker at once). *)
-let mp_child_loop t =
+let worker_loop t =
   let ev = Evio.Backend.create t.config.event_backend in
   let wheel = Evio.Timer_wheel.create ~now:(t.config.clock ()) () in
   let paused = ref false in
   let backoff = ref accept_backoff_initial in
   let pause () =
     Obs.Counter.incr t.accept_emfile;
-    (match t.stats_pipe_write with
-    | Some w -> (
-        try ignore (Unix.write w (stats_record ~tag:'f' ~latency:0.) 0 9)
-        with Unix.Unix_error _ -> ())
-    | None -> ());
+    ship t (stats_record ~tag:'f' ~latency:0. ());
     if not !paused then begin
       paused := true;
       Evio.Backend.modify ev t.listen_fd ~read:false ~write:false;
@@ -3579,7 +3171,7 @@ let mp_child_loop t =
       match Unix.accept t.listen_fd with
       | fd, _ ->
           backoff := accept_backoff_initial;
-          mp_serve_connection t fd
+          serve_blocking t fd
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
       | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
@@ -3791,7 +3383,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
       mp_child_gauges = Hashtbl.create 8;
-      send_scratch = Bytes.create 65536;
       gather_writes = config.use_writev && Iovec.have_writev;
       watchdog =
         Obs.Watchdog.create ~clock:config.clock
@@ -3852,7 +3443,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
             match Unix.fork () with
             | 0 ->
                 (* Child: blocking accept loop; never returns. *)
-                (try mp_child_loop t with _ -> ());
+                (try worker_loop t with _ -> ());
                 Stdlib.exit 0
             | pid -> pid)
       in
@@ -3862,7 +3453,7 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
          the mutex) — the paper's MT architecture. *)
       t.worker_threads <-
         List.init (max 1 n) (fun _ ->
-            Thread.create (fun () -> try mp_child_loop t with _ -> ()) ())
+            Thread.create (fun () -> try worker_loop t with _ -> ()) ())
   | Amped | Sped | Sharded _ -> ());
   (match role with
   | Standalone -> Log.info (fun m -> m "listening on port %d" bound_port)

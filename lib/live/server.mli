@@ -12,6 +12,13 @@
     - [Mt n]: [n] kernel threads doing the same inside one address
       space, sharing the file cache behind a mutex.
 
+    Every mode answers requests through one request core — parse,
+    dispatch, resolve, plan, conditional/range/error responses, all
+    queued on the connection's {!Sendq} — and the modes differ only in
+    how they wait: AMPED/SPED (and each shard) on event readiness,
+    MP children and MT workers in a blocking read/flush loop per
+    connection.
+
     Conditional GET is honoured (If-Modified-Since - 304), and an
     optional Common Log Format access log can be written.
 

@@ -298,6 +298,219 @@ let prop_store_weights =
     store_conserves_weight
 
 (* ------------------------------------------------------------------ *)
+(* Weighted LRU at the store level                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The seed's weighted LRU contract, as every cache now gets it: a
+   [Store] under [Policy.Lru].  These reach what the policy-level model
+   test cannot — the store's promotion on hits and replacements, weight
+   bookkeeping, removal and the evict hook. *)
+let lru_store ?on_evict capacity =
+  Store.create ~policy:Policy.Lru ?on_evict ~capacity ()
+
+(* [Admit_always] never rejects. *)
+let put s k v ~weight = ignore (Store.add s k v ~weight)
+
+(* Resident keys from most to least recently used: hits and inserts
+   stamp the store's logical clock, so the stamps order recency. *)
+let mru_order s =
+  Store.fold_keys s ~init:[] ~f:(fun acc k ks -> (ks.Store.ks_last, k) :: acc)
+  |> List.sort (fun (a, _) (b, _) -> compare b a)
+  |> List.map snd
+
+let test_lru_basic () =
+  let s = lru_store 3 in
+  put s "a" 1 ~weight:1;
+  put s "b" 2 ~weight:1;
+  Alcotest.(check (option int)) "find a" (Some 1) (Store.find s "a");
+  Alcotest.(check (option int)) "find missing" None (Store.find s "zz");
+  Alcotest.(check int) "length" 2 (Store.length s);
+  Alcotest.(check int) "weight" 2 (Store.weight s)
+
+let test_lru_eviction_order () =
+  let evicted = ref [] in
+  let s = lru_store ~on_evict:(fun k _ -> evicted := k :: !evicted) 2 in
+  put s "a" 1 ~weight:1;
+  put s "b" 2 ~weight:1;
+  put s "c" 3 ~weight:1;
+  Alcotest.(check (list string)) "a evicted first" [ "a" ] !evicted;
+  (* Touch b, then insert d: c is now least recent. *)
+  ignore (Store.find s "b");
+  put s "d" 4 ~weight:1;
+  Alcotest.(check (list string)) "c evicted second" [ "c"; "a" ] !evicted;
+  Alcotest.(check bool) "b survives" true (Store.mem s "b")
+
+let test_lru_peek_does_not_promote () =
+  let s = lru_store 2 in
+  put s "a" 1 ~weight:1;
+  put s "b" 2 ~weight:1;
+  ignore (Store.peek s "a");
+  put s "c" 3 ~weight:1;
+  Alcotest.(check bool) "a evicted despite peek" false (Store.mem s "a")
+
+let test_lru_weighted () =
+  let s = lru_store 100 in
+  put s "big" 0 ~weight:60;
+  put s "mid" 1 ~weight:30;
+  put s "more" 2 ~weight:30;
+  (* 60+30+30 > 100: "big" (LRU) must have been evicted. *)
+  Alcotest.(check bool) "big evicted" false (Store.mem s "big");
+  Alcotest.(check int) "weight within capacity" 60 (Store.weight s)
+
+let test_lru_oversized_single_entry () =
+  let s = lru_store 10 in
+  put s "huge" 0 ~weight:100;
+  Alcotest.(check bool) "admitted alone" true (Store.mem s "huge");
+  put s "small" 1 ~weight:1;
+  Alcotest.(check bool) "huge evicted when company arrives" false
+    (Store.mem s "huge")
+
+let test_lru_replace_reweighs () =
+  let s = lru_store 10 in
+  put s "k" 1 ~weight:4;
+  put s "k" 2 ~weight:6;
+  Alcotest.(check int) "weight replaced" 6 (Store.weight s);
+  Alcotest.(check (option int)) "value replaced" (Some 2) (Store.find s "k");
+  Alcotest.(check int) "single entry" 1 (Store.length s)
+
+let test_lru_remove () =
+  let evicted = ref 0 in
+  let s = lru_store ~on_evict:(fun _ _ -> incr evicted) 5 in
+  put s "a" 1 ~weight:2;
+  Alcotest.(check (option int)) "removed value" (Some 1) (Store.remove s "a");
+  Alcotest.(check int) "no on_evict for remove" 0 !evicted;
+  Alcotest.(check int) "weight zero" 0 (Store.weight s);
+  Alcotest.(check (option int)) "remove missing" None (Store.remove s "a")
+
+(* ~evict:true routes explicit removal through the on_evict hook, so
+   callers whose hook releases a resource (gauges, unmaps) need not
+   duplicate the cleanup by hand. *)
+let test_lru_remove_evict_runs_hook () =
+  let gauge = ref 0 in
+  let s = lru_store ~on_evict:(fun _ v -> gauge := !gauge - v) 10 in
+  put s "a" 7 ~weight:1;
+  gauge := 7;
+  Alcotest.(check (option int)) "removed value" (Some 7)
+    (Store.remove ~evict:true s "a");
+  Alcotest.(check int) "hook released the resource" 0 !gauge;
+  Alcotest.(check (option int)) "evict remove on missing key" None
+    (Store.remove ~evict:true s "a");
+  Alcotest.(check int) "no hook for missing key" 0 !gauge
+
+let test_lru_set_capacity_shrinks () =
+  let s = lru_store 10 in
+  for i = 1 to 10 do
+    put s i i ~weight:1
+  done;
+  Store.set_capacity s 3;
+  Alcotest.(check int) "shrunk" 3 (Store.length s);
+  Alcotest.(check bool) "most recent kept" true (Store.mem s 10);
+  Alcotest.(check bool) "oldest gone" false (Store.mem s 1)
+
+let test_lru_order () =
+  let evicted = ref [] in
+  let s = lru_store ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) 5 in
+  List.iter (fun k -> put s k k ~weight:1) [ 1; 2; 3 ];
+  ignore (Store.find s 1);
+  Alcotest.(check (list int)) "MRU to LRU" [ 1; 3; 2 ] (mru_order s);
+  Alcotest.(check bool) "a victim to shed" true (Store.shed s);
+  Alcotest.(check (list (pair int int))) "lru entry is the victim" [ (2, 2) ]
+    !evicted
+
+let test_lru_clear () =
+  let s = lru_store 5 in
+  put s "a" 1 ~weight:1;
+  Store.clear s;
+  Alcotest.(check int) "empty" 0 (Store.length s);
+  put s "b" 2 ~weight:1;
+  Alcotest.(check bool) "usable after clear" true (Store.mem s "b")
+
+let test_lru_invalid () =
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Store.create: capacity <= 0") (fun () ->
+      ignore (lru_store 0));
+  let s = lru_store 1 in
+  Alcotest.check_raises "negative weight"
+    (Invalid_argument "Store.add: negative weight") (fun () ->
+      put s "x" 1 ~weight:(-1))
+
+let prop_lru_capacity_respected =
+  Helpers.qcheck_case ~name:"weight never exceeds capacity (multi-entry)"
+    QCheck.(pair (int_range 1 50) (list (pair (int_range 0 9) (int_range 0 10))))
+    (fun (cap, adds) ->
+      let s = lru_store cap in
+      List.iter (fun (k, w) -> put s k k ~weight:w) adds;
+      Store.weight s <= cap || Store.length s = 1)
+
+let prop_lru_most_recent_present =
+  Helpers.qcheck_case ~name:"most recently added key is always present"
+    QCheck.(list (pair (int_range 0 9) (int_range 0 5)))
+    (fun adds ->
+      let s = lru_store 20 in
+      List.for_all
+        (fun (k, w) ->
+          put s k k ~weight:w;
+          Store.mem s k)
+        adds)
+
+(* Reference weighted LRU: an association list in MRU-to-LRU order. *)
+module Weighted_lru = struct
+  type t = { cap : int; mutable entries : (int * int) list (* key, weight *) }
+
+  let create cap = { cap; entries = [] }
+  let weight t = List.fold_left (fun acc (_, w) -> acc + w) 0 t.entries
+
+  let add t k w =
+    t.entries <- (k, w) :: List.remove_assoc k t.entries;
+    (* Evict from the LRU end while over capacity with > 1 entry. *)
+    let rec drop_last = function
+      | [] | [ _ ] -> []
+      | x :: rest -> x :: drop_last rest
+    in
+    while weight t > t.cap && List.length t.entries > 1 do
+      t.entries <- drop_last t.entries
+    done
+
+  let find t k =
+    match List.assoc_opt k t.entries with
+    | Some w ->
+        t.entries <- (k, w) :: List.remove_assoc k t.entries;
+        true
+    | None -> false
+
+  let remove t k =
+    let present = List.mem_assoc k t.entries in
+    t.entries <- List.remove_assoc k t.entries;
+    present
+end
+
+(* Same resident keys in the same recency order, same total weight. *)
+let store_matches_weighted_lru cap ops =
+  let s = lru_store cap in
+  let r = Weighted_lru.create cap in
+  List.iter
+    (fun op ->
+      match op with
+      | Sadd (k, w) ->
+          put s k k ~weight:w;
+          Weighted_lru.add r k w
+      | Sfind k ->
+          if (Store.find s k <> None) <> Weighted_lru.find r k then
+            failwith (Printf.sprintf "find disagreement on %d" k)
+      | Sremove k ->
+          if (Store.remove s k <> None) <> Weighted_lru.remove r k then
+            failwith (Printf.sprintf "remove disagreement on %d" k))
+    ops;
+  mru_order s = List.map fst r.Weighted_lru.entries
+  && Store.weight s = Weighted_lru.weight r
+
+let prop_lru_model cap =
+  Helpers.qcheck_case ~count:300
+    ~name:(Printf.sprintf "LRU matches reference model (cap %d)" cap)
+    sops_arb
+    (store_matches_weighted_lru cap)
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic hit-rate fixtures                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -530,3 +743,27 @@ let suite =
     Alcotest.test_case "oversized entry admitted alone" `Quick
       test_oversized_entry_admitted_alone;
   ]
+
+let lru_suite =
+  [
+    Alcotest.test_case "basic add/find" `Quick test_lru_basic;
+    Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
+    Alcotest.test_case "peek does not promote" `Quick
+      test_lru_peek_does_not_promote;
+    Alcotest.test_case "weighted eviction" `Quick test_lru_weighted;
+    Alcotest.test_case "oversized single entry" `Quick
+      test_lru_oversized_single_entry;
+    Alcotest.test_case "replace re-weighs" `Quick test_lru_replace_reweighs;
+    Alcotest.test_case "remove" `Quick test_lru_remove;
+    Alcotest.test_case "remove ~evict runs hook" `Quick
+      test_lru_remove_evict_runs_hook;
+    Alcotest.test_case "set_capacity shrinks" `Quick
+      test_lru_set_capacity_shrinks;
+    Alcotest.test_case "fold order and lru" `Quick test_lru_order;
+    Alcotest.test_case "clear" `Quick test_lru_clear;
+    Alcotest.test_case "invalid arguments" `Quick test_lru_invalid;
+    prop_lru_capacity_respected;
+    prop_lru_most_recent_present;
+  ]
+
+let lru_model_suite = [ prop_lru_model 5; prop_lru_model 12; prop_lru_model 1 ]

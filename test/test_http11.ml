@@ -1,8 +1,9 @@
 (* HTTP/1.1 semantics conformance: conditional GET (If-Modified-Since,
    If-None-Match, If-Match, If-Unmodified-Since, their RFC 9110 §13.2.2
    precedence), byte ranges (single, suffix, clamped, unsatisfiable,
-   If-Range gating) and Accept-Encoding negotiation of precompressed
-   and lazily built gzip variants.
+   If-Range gating), Accept-Encoding negotiation of precompressed and
+   lazily built gzip variants, and the answers to an unsupported
+   method, a CGI script and a file too large to cache.
 
    Everything is driven over raw sockets by the table below, and the
    same table is replayed against all four architectures (AMPED, SPED,
@@ -49,7 +50,11 @@ type fixture = {
   body_z : string;  (* /z.txt: has a .gz sibling on disk *)
   gz_z : string;
   etag_z_gz : string;
+  body_big : string;  (* /big.bin: above max_cached_file, streamed *)
 }
+
+(* What /cgi-bin/echo.sh writes for a GET. *)
+let cgi_output = "cgi says GET\n"
 
 let fixture =
   lazy
@@ -65,6 +70,12 @@ let fixture =
      write_file (Filename.concat docroot "z.txt") body_z;
      (* Sibling written after the origin so its mtime is not staler. *)
      write_file (Filename.concat docroot "z.txt.gz") gz_z;
+     let body_big = patterned ((3 * 65536) + 123) in
+     write_file (Filename.concat docroot "big.bin") body_big;
+     Unix.mkdir (Filename.concat docroot "cgi-bin") 0o755;
+     let script = Filename.concat docroot "cgi-bin/echo.sh" in
+     write_file script "#!/bin/sh\necho \"cgi says $REQUEST_METHOD\"\n";
+     Unix.chmod script 0o755;
      let st_a = Unix.stat (Filename.concat docroot "a.txt") in
      let st_z = Unix.stat (Filename.concat docroot "z.txt") in
      let mtime_a = st_a.Unix.st_mtime and size_a = st_a.Unix.st_size in
@@ -82,6 +93,7 @@ let fixture =
        etag_z_gz =
          Etag.make ~suffix:"-gz" ~mtime:st_z.Unix.st_mtime
            ~size:st_z.Unix.st_size ();
+       body_big;
      })
 
 let config_for mode =
@@ -92,6 +104,8 @@ let config_for mode =
     (* Exercise both variant sources: the on-disk sibling for /z.txt and
        the inline stored-block compressor for /a.txt. *)
     gzip_lazy = true;
+    (* /big.bin lies above this, so it streams from its descriptor. *)
+    max_cached_file = 65536;
   }
 
 let with_mode_server mode f =
@@ -328,6 +342,13 @@ let table () =
     case "conditionals do not rescue a 404" 404 ~target:"/missing.txt"
       ~headers:[ ("If-None-Match", "*") ]
       ~absent:[ "etag" ];
+    (* Method, CGI and streaming parity: one request core in every mode. *)
+    case "POST is not implemented" 501 ~meth:"POST";
+    case "cgi-bin script runs" 200 ~target:"/cgi-bin/echo.sh"
+      ~body:(Exact cgi_output);
+    case "file above max_cached_file streams whole" 200 ~target:"/big.bin"
+      ~has:[ ("content-length", string_of_int (String.length fx.body_big)) ]
+      ~body:(Exact fx.body_big);
   ]
 
 let run_case port c =

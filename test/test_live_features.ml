@@ -160,9 +160,11 @@ let test_mt_mode () =
       Alcotest.(check int) "all served by MT workers" 6
         (Array.fold_left ( + ) 0 results))
 
-let test_access_log () =
+(* Every mode writes the same lines: MP children append to the file the
+   parent opened before forking, MT workers share its channel. *)
+let test_access_log mode () =
   let log_file = Filename.temp_file "flash_access" ".log" in
-  with_server ~access_log:log_file (fun _ port ->
+  with_server ~mode ~access_log:log_file (fun _ port ->
       ignore (Flash_live.Client.get ~host:"127.0.0.1" ~port "/page.html");
       ignore (Flash_live.Client.get ~host:"127.0.0.1" ~port "/missing.html"));
   let ic = open_in log_file in
@@ -199,5 +201,10 @@ let suite =
     prop_date_roundtrip;
     Alcotest.test_case "conditional GET / 304" `Quick test_conditional_get;
     Alcotest.test_case "MT mode serves concurrently" `Quick test_mt_mode;
-    Alcotest.test_case "access log written" `Quick test_access_log;
+    Alcotest.test_case "access log written" `Quick
+      (test_access_log Flash_live.Server.Amped);
+    Alcotest.test_case "access log written (MP)" `Quick
+      (test_access_log (Flash_live.Server.Mp 2));
+    Alcotest.test_case "access log written (MT)" `Quick
+      (test_access_log (Flash_live.Server.Mt 2));
   ]

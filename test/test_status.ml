@@ -308,6 +308,74 @@ let test_status_mp () =
       Alcotest.(check bool) "latency consolidated over pipe" true
         (Obs.Histogram.count lat >= 3))
 
+(* Counter parity: one request stream moves the same counters in every
+   mode, because every mode answers through one request core.  [Mp 1]
+   has a single child, so the child's scrape is the whole total.  Each
+   response is committed before its bytes go out, so a scrape after the
+   stream sees all of it without polling. *)
+let test_counter_parity () =
+  let later = Http.Http_date.format (Unix.gettimeofday () +. 86_400.) in
+  let send port payload =
+    let fd = Helpers.Raw.connect ~port in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        ignore (Unix.write_substring fd payload 0 (String.length payload));
+        let acc = Buffer.create 1024 in
+        Helpers.Raw.read_until_close fd acc;
+        let r = Buffer.contents acc in
+        int_of_string (String.sub r 9 3))
+  in
+  let req ?(meth = "GET") ?(headers = "") path =
+    Printf.sprintf "%s %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n%s\r\n"
+      meth path headers
+  in
+  let stream =
+    [
+      (req "/missing.html", 404);
+      ("NONSENSE\r\n\r\n", 400);
+      (req ~headers:("If-Modified-Since: " ^ later ^ "\r\n") "/hello.txt", 304);
+      (req ~headers:"Range: bytes=0-3\r\n" "/hello.txt", 206);
+      (req "/hello.txt", 200);
+      (req ~meth:"POST" "/hello.txt", 501);
+    ]
+  in
+  let counters j =
+    let responses = member "responses" j in
+    [
+      ("requests", to_int (member "requests" j));
+      ("errors", to_int (member "errors" j));
+    ]
+    @ List.map
+        (fun cls -> (cls, to_int (member cls responses)))
+        [ "2xx"; "3xx"; "4xx"; "5xx" ]
+  in
+  let deltas mode =
+    with_mode mode (fun _ port ->
+        let before = counters (get_status_json port) in
+        List.iter
+          (fun (payload, status) ->
+            Alcotest.(check int) "stream status" status (send port payload))
+          stream;
+        let after = counters (get_status_json port) in
+        List.map2 (fun (k, a) (_, b) -> (k, a - b)) after before)
+  in
+  let amped = deltas Server.Amped in
+  (* Six requests plus the second scrape; the first scrape's response
+     is committed after it renders, so it lands in the second's 2xx. *)
+  Alcotest.(check (list (pair string int)))
+    "AMPED deltas"
+    [
+      ("requests", 7); ("errors", 3); ("2xx", 3); ("3xx", 1); ("4xx", 2);
+      ("5xx", 1);
+    ]
+    amped;
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check (list (pair string int))) (name ^ " deltas") amped
+        (deltas mode))
+    [ ("SPED", Server.Sped); ("MP", Server.Mp 1); ("MT", Server.Mt 2) ]
+
 let test_status_text () =
   with_mode Server.Amped (fun _server port ->
       ignore (get port "/hello.txt");
@@ -491,6 +559,8 @@ let suite =
       (test_status_event_loop Server.Sped);
     Alcotest.test_case "MT /server-status JSON" `Quick test_status_mt;
     Alcotest.test_case "MP /server-status JSON" `Quick test_status_mp;
+    Alcotest.test_case "counters agree across modes" `Quick
+      test_counter_parity;
     Alcotest.test_case "text status" `Quick test_status_text;
     Alcotest.test_case "endpoint shadows docroot file" `Quick
       test_status_shadows_docroot_file;
