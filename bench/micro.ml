@@ -80,6 +80,34 @@ let bench_timer_wheel =
          ignore (Evio.Timer_wheel.schedule wheel ~at:(!now +. 10.) 0);
          ignore (Evio.Timer_wheel.advance wheel ~now:!now)))
 
+(* One response's accounting in the live server — the tally's status
+   class add plus latency record, on a private row and on a row of an
+   MP-style shared mapping — beside a plain Obs.Histogram.record on the
+   same ladder.  Latencies cycle over 1 µs..1 ms. *)
+let latency_of n = float_of_int ((n land 1023) + 1) *. 1e-6
+
+let bench_histogram_record =
+  let h = Obs.Histogram.create () in
+  let counter = ref 0 in
+  Test.make ~name:"obs.histogram.record"
+    (Staged.stage (fun () ->
+         incr counter;
+         Obs.Histogram.record h (latency_of !counter)))
+
+let bench_tally ~shared =
+  let module Tally = Flash_live.Tally in
+  let tally = Tally.create ~shared ~rows:2 () in
+  Tally.claim tally 1;
+  let counter = ref 0 in
+  Test.make
+    ~name:
+      (if shared then "tally.add+record_latency(shared)"
+       else "tally.add+record_latency")
+    (Staged.stage (fun () ->
+         incr counter;
+         Tally.add tally (Tally.status_class 0) 1;
+         Tally.record_latency tally (latency_of !counter)))
+
 let tests =
   Test.make_grouped ~name:"micro"
     [
@@ -91,6 +119,9 @@ let tests =
       bench_buffer_cache;
       bench_normalize;
       bench_timer_wheel;
+      bench_histogram_record;
+      bench_tally ~shared:false;
+      bench_tally ~shared:true;
     ]
 
 let run () =

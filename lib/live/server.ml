@@ -245,14 +245,13 @@ type t = {
   wake_read : Unix.file_descr;
   wake_write : Unix.file_descr;
   (* Event-readiness state for the owning loop (SPED/AMPED main loop;
-     the MP parent reuses [evio] for its stats pipe; MP children and MT
+     the MP parent and MT main thread park on [evio]; MP children and MT
      workers build their own backend instances instead — an epoll fd
      must not be shared across forked interest mutators). *)
   evio : Evio.Backend.t;
   wheel : timer_ev Evio.Timer_wheel.t;
   fd_owners : (Unix.file_descr, fd_owner) Hashtbl.t;
   loopstat : Obs.Loopstat.t;
-  accept_emfile : Obs.Counter.t;  (* accepts shed on EMFILE/ENFILE *)
   mutable accept_paused : bool;  (* listen interest parked by backoff *)
   mutable accept_backoff : float;  (* current backoff delay, seconds *)
   conns : (int, conn) Hashtbl.t;
@@ -261,31 +260,26 @@ type t = {
   mutable stopped : bool;
   mutable loop_thread : Thread.t option;
   mutable children : int list;  (* MP child pids *)
-  mutable n_requests : int;
-  mutable n_connections : int;
-  mutable n_errors : int;
   log_channel : out_channel option;
-  (* MP mode: forked children hold copy-on-write stats, so per-request
-     events are consolidated in the parent over a pipe (the paper's §4.2
-     "information gathering" cost of the MP architecture), one fixed-size
-     record per event ([stats_record]). *)
-  stats_pipe_read : Unix.file_descr option;
-  stats_pipe_write : Unix.file_descr option;
-  stats_acc : Buffer.t;  (* partial pipe records between reads *)
-  (* Serialises pipe reads + [stats_acc]: the parent loop and [stats]
-     callers both drain, and a 9-byte record must not split between
-     them. *)
-  stats_mutex : Mutex.t;
+  (* Requests, connections, responses by class, send-path counts, accept
+     sheds, the active/mapped gauges and the latency histogram: one row
+     per writer (MP child, or the whole instance), read as row sums.  In
+     MP the slab is shared, which is the paper's §4.2 "information
+     gathering" done without IPC. *)
+  tally : Tally.t;
+  (* MP mode with tracing: children ship finished traces to the parent
+     as framed records on this pipe. *)
+  trace_pipe_read : Unix.file_descr option;
+  trace_pipe_write : Unix.file_descr option;
+  trace_acc : Buffer.t;  (* a partial frame between reads *)
   (* MT mode: threads share the cache; systhreads interleave at
      allocation points, so cache access is serialized. *)
   cache_mutex : Mutex.t;
-  (* Guards the observability state (latency histogram, gauges) where
-     several threads record: MT workers, helper completions vs stats
-     readers. *)
+  (* Guards the observability state (the tally row, the tracer, the
+     trace pipe's reads) where several threads touch it: MT workers,
+     the MP parent loop vs snapshot callers. *)
   obs_mutex : Mutex.t;
-  latency : Obs.Histogram.t;  (* per-request latency, seconds *)
   watchdog : Obs.Watchdog.t;  (* event-loop iteration stalls *)
-  active : Obs.Gauge.t;  (* currently open connections *)
   (* Request-lifecycle tracing (None with --no-trace): guarded by
      [obs_mutex] wherever several threads can touch it (MT workers, MP
      parent consolidation vs endpoint renders). *)
@@ -293,21 +287,9 @@ type t = {
   slow_channel : out_channel option;  (* slow-request log sink *)
   started_at : float;
   mutable worker_threads : Thread.t list;
-  (* Send-path accounting (guarded by [obs_mutex] where several threads
-     record): gather writes issued, scalar writes issued, and bytes that
-     crossed userspace on their way out. *)
-  writev_calls : Obs.Counter.t;
-  write_calls : Obs.Counter.t;
-  bytes_copied : Obs.Counter.t;
-  bytes_sent : Obs.Counter.t;  (* response bytes the kernel accepted *)
-  (* Responses by status class: slots for 2xx/3xx/4xx/5xx, guarded by
-     [obs_mutex]; an MP child's 'r'/'e' records carry the class, so the
-     parent's array is the consolidated view. *)
-  status_classes : int array;
   gather_writes : bool;  (* config.use_writev, gated on stub presence *)
   (* The pid that created this server.  After an MP fork both sides
-     hold the same record; parent-only duties (draining the stats pipe,
-     summing child gauges) key off it. *)
+     hold the same record; only the parent may drain the trace pipe. *)
   owner_pid : int;
   (* The unified metrics registry: every surface (/server-status text
      and JSON, /metrics exposition, programmatic stats) renders from
@@ -321,12 +303,6 @@ type t = {
   mutable recorder : Obs.Recorder.t option;
   recorder_mutex : Mutex.t;
   slo : Obs.Slo.t option;
-  (* MP parent: last gauge snapshot shipped by each child ('G'
-     records), pid -> (active connections, mapped bytes).  Summed at
-     snapshot time — never accumulated, so a child's churn cannot
-     inflate the consolidated gauge.  Guarded by [stats_mutex] (all
-     writes happen inside [consume_stats]). *)
-  mp_child_gauges : (int, int * int) Hashtbl.t;
   (* Sharded mode wiring (Standalone otherwise).  [shards] is the full
      shard set, index = shard id, shared by the coordinator and every
      shard so any instance can render the cross-shard views; [coord]
@@ -372,197 +348,85 @@ let with_obs_lock t f =
   Mutex.lock t.obs_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.obs_mutex) f
 
-(* After an MP fork, parent and children run the same code over copies
-   of the same record; parent-only duties key off the creating pid. *)
-let is_mp_parent t =
-  match t.config.mode with Mp _ -> Unix.getpid () = t.owner_pid | _ -> false
-
 (* ------------------------------------------------------------------ *)
-(* The stats pipe protocol (MP consolidation)                          *)
+(* Counting                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One fixed-size record per event.  MP children send these to the
-   parent; MT threads and the single-process modes count in place.
-   Tags: 'r' a response, 'e' an error response, 'c' accepted
-   connection, 'f' accept shed on EMFILE.  Byte 1 is the response's
-   status class index, bytes 2-9 its latency in seconds as IEEE-754
-   bits (NaN when not measured; 0 where unused).  10 bytes < PIPE_BUF,
-   so writes are atomic. *)
-let stats_record ?(cls = 0) ~tag ~latency () =
-  let b = Bytes.create 10 in
-  Bytes.set b 0 tag;
-  Bytes.set b 1 (Char.chr cls);
-  Bytes.set_int64_le b 2 (Int64.bits_of_float latency);
-  b
+(* Every mode counts into this writer's row of the tally, under the obs
+   mutex (MT workers share one row). *)
+let count t field n = with_obs_lock t (fun () -> Tally.add t.tally field n)
 
-(* Send one record to the MP parent; nothing to do in the other modes. *)
-let ship t b =
-  match t.stats_pipe_write with
-  | None -> ()
-  | Some w -> (
-      try ignore (Unix.write w b 0 (Bytes.length b))
-      with Unix.Unix_error _ -> ())
-
-(* Variable-length trace records ride the same pipe: tag 'T', a u16 LE
-   payload length, then a [Obs.Trace.to_binary] record.  Fixed wider
-   frames: 'v' send-path counter deltas (tag + four 8-byte LE ints =
-   33 bytes), 'G' a child's gauge snapshot (tag + pid + active +
-   mapped = 25 bytes) — all under PIPE_BUF, so records never
-   interleave. *)
-let consume_stats t bytes len =
-  Buffer.add_subbytes t.stats_acc bytes 0 len;
-  let s = Buffer.contents t.stats_acc in
-  let n = String.length s in
-  let pos = ref 0 in
-  let short = ref false in
-  while (not !short) && !pos < n do
-    match s.[!pos] with
-    | ('c' | 'f' | 'r' | 'e') as tag ->
-        if !pos + 10 <= n then begin
-          (match tag with
-          | 'c' -> t.n_connections <- t.n_connections + 1
-          | 'f' -> Obs.Counter.incr t.accept_emfile
-          | _ ->
-              (* The parent counts the request from its response. *)
-              let cls = Char.code s.[!pos + 1] land 3 in
-              let latency =
-                Int64.float_of_bits (String.get_int64_le s (!pos + 2))
-              in
-              t.n_requests <- t.n_requests + 1;
-              if tag = 'e' then t.n_errors <- t.n_errors + 1;
-              with_obs_lock t (fun () ->
-                  t.status_classes.(cls) <- t.status_classes.(cls) + 1;
-                  if not (Float.is_nan latency) then
-                    Obs.Histogram.record t.latency latency));
-          pos := !pos + 10
-        end
-        else short := true
-    | 'v' ->
-        (* Send-path counter deltas from an MP child: four 8-byte LE
-           ints after the tag. *)
-        if !pos + 33 <= n then begin
-          let int_at o = Int64.to_int (String.get_int64_le s (!pos + o)) in
-          let writev = int_at 1
-          and writes = int_at 9
-          and copied = int_at 17
-          and sent = int_at 25 in
-          with_obs_lock t (fun () ->
-              Obs.Counter.add t.writev_calls writev;
-              Obs.Counter.add t.write_calls writes;
-              Obs.Counter.add t.bytes_copied copied;
-              Obs.Counter.add t.bytes_sent sent);
-          pos := !pos + 33
-        end
-        else short := true
-    | 'G' ->
-        (* A child's gauge snapshot: pid, active connections, mapped
-           bytes.  Replaced, never accumulated — the consolidated gauge
-           is the sum of each child's latest snapshot. *)
-        if !pos + 25 <= n then begin
-          let int_at o = Int64.to_int (String.get_int64_le s (!pos + o)) in
-          Hashtbl.replace t.mp_child_gauges (int_at 1)
-            (int_at 9, int_at 17);
-          pos := !pos + 25
-        end
-        else short := true
-    | 'T' ->
-        if !pos + 3 <= n then begin
-          let plen = Char.code s.[!pos + 1] lor (Char.code s.[!pos + 2] lsl 8) in
-          if !pos + 3 + plen <= n then begin
-            (match Obs.Trace.of_binary s ~pos:(!pos + 3) with
-            | Some (data, _) -> (
-                match t.tracer with
-                | Some tracer ->
-                    with_obs_lock t (fun () -> Obs.Trace.ingest tracer data)
-                | None -> ())
-            | None -> ());
-            pos := !pos + 3 + plen
-          end
-          else short := true
-        end
-        else short := true
-    | _ ->
-        (* Unknown tag: resynchronise one byte at a time. *)
-        incr pos
-  done;
-  Buffer.clear t.stats_acc;
-  Buffer.add_substring t.stats_acc s !pos (n - !pos)
-
-(* On-demand drain so snapshots are current even between parent-loop
-   polls.  Only the MP parent may drain: a forked child inherits the
-   read end, and reading there would steal records from the
-   consolidating parent. *)
-let drain_stats_pipe t =
-  match t.stats_pipe_read with
-  | Some _ when Unix.getpid () <> t.owner_pid -> ()
-  | None -> ()
-  | Some r ->
-      let buf = Bytes.create 4095 in
-      Mutex.lock t.stats_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-        (fun () ->
-          let rec loop () =
-            match Unix.read r buf 0 4095 with
-            | n when n > 0 ->
-                consume_stats t buf n;
-                loop ()
-            | _ -> ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          loop ())
-
-let mp_gauge_sums t =
-  Mutex.lock t.stats_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-    (fun () ->
-      Hashtbl.fold
-        (fun _ (a, m) (sa, sm) -> (sa + a, sm + m))
-        t.mp_child_gauges (0, 0))
-
-(* Mode-aware gauges: the MP parent sums each child's latest snapshot;
-   everywhere else the local instruments are the truth. *)
-let active_now t =
-  if is_mp_parent t then fst (mp_gauge_sums t)
-  else with_obs_lock t (fun () -> Obs.Gauge.value t.active)
-
-let mapped_now t =
-  if is_mp_parent t then snd (mp_gauge_sums t)
-  else File_cache.mapped_bytes t.cache
-
-(* An MP child pushes its gauge snapshot whenever a gauge moves
-   (connection open/close, cache insert).  No-op elsewhere. *)
-let mp_ship_gauges t =
-  if t.stats_pipe_write <> None then begin
-    let active = with_obs_lock t (fun () -> Obs.Gauge.value t.active) in
-    let mapped = File_cache.mapped_bytes t.cache in
-    let b = Bytes.create 25 in
-    Bytes.set b 0 'G';
-    Bytes.set_int64_le b 1 (Int64.of_int (Unix.getpid ()));
-    Bytes.set_int64_le b 9 (Int64.of_int active);
-    Bytes.set_int64_le b 17 (Int64.of_int mapped);
-    ship t b
-  end
-
+let total t field = Tally.sum t.tally field
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
 (* Every response is counted here, in every mode: its status class
    (2xx/3xx/4xx/5xx), whether it is an error (400 and up) and its
-   latency (NaN: not measured).  An MP child also ships the event to
-   the parent as one 'r'/'e' record. *)
+   latency (NaN: not measured). *)
 let count_response t ~code ~latency =
   let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
-  let error = code >= 400 in
   with_obs_lock t (fun () ->
-      t.status_classes.(cls) <- t.status_classes.(cls) + 1;
-      if error then t.n_errors <- t.n_errors + 1;
-      if not (Float.is_nan latency) then Obs.Histogram.record t.latency latency);
-  ship t (stats_record ~cls ~tag:(if error then 'e' else 'r') ~latency ())
+      Tally.add t.tally (Tally.status_class cls) 1;
+      if code >= 400 then Tally.add t.tally Tally.errors 1;
+      if not (Float.is_nan latency) then Tally.record_latency t.tally latency)
 
-let count_connection t =
-  with_obs_lock t (fun () -> t.n_connections <- t.n_connections + 1);
-  ship t (stats_record ~tag:'c' ~latency:0. ())
+let latency_now t = with_obs_lock t (fun () -> Tally.latency t.tally)
+
+(* A file-cache operation that may map or unmap bodies (insert, evict,
+   invalidate): run it under the cache lock, then store the cache's
+   mapped bytes into this writer's row. *)
+let update_cache t f =
+  with_cache_lock t (fun () ->
+      let r = f () in
+      let m = File_cache.mapped_bytes t.cache in
+      with_obs_lock t (fun () -> Tally.set t.tally Tally.mapped m);
+      r)
+
+(* ------------------------------------------------------------------ *)
+(* The trace pipe (MP with tracing)                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One frame per finished trace: tag 'T', a u16 LE payload length, then
+   an [Obs.Trace.to_binary] record — at most PIPE_BUF bytes, so frames
+   from different children never interleave.  Runs under the obs
+   mutex. *)
+let consume_traces t bytes len =
+  Buffer.add_subbytes t.trace_acc bytes 0 len;
+  let s = Buffer.contents t.trace_acc in
+  let n = String.length s in
+  let rec loop pos =
+    if pos + 3 > n then pos
+    else if s.[pos] <> 'T' then loop (pos + 1) (* resynchronise *)
+    else
+      let plen = Char.code s.[pos + 1] lor (Char.code s.[pos + 2] lsl 8) in
+      if pos + 3 + plen > n then pos
+      else begin
+        (match (Obs.Trace.of_binary s ~pos:(pos + 3), t.tracer) with
+        | Some (data, _), Some tracer -> Obs.Trace.ingest tracer data
+        | _ -> ());
+        loop (pos + 3 + plen)
+      end
+  in
+  let pos = loop 0 in
+  Buffer.clear t.trace_acc;
+  Buffer.add_substring t.trace_acc s pos (n - pos)
+
+(* Read every frame the children have written so far.  Only the MP
+   parent may drain: a forked child inherits the read end, and reading
+   there would steal frames from the parent's ring. *)
+let drain_trace_pipe t =
+  match t.trace_pipe_read with
+  | Some r when Unix.getpid () = t.owner_pid ->
+      let buf = Bytes.create 4095 in
+      let rec loop () =
+        match Unix.read r buf 0 4095 with
+        | n when n > 0 ->
+            consume_traces t buf n;
+            loop ()
+        | _ -> ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      with_obs_lock t loop
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
@@ -570,8 +434,8 @@ let count_connection t =
 
 (* All recorder access is serialised: ticks race between request paths,
    loop timers, status reads and dump requests (MT workers share one
-   recorder).  The read closure takes [stats_mutex]/[obs_mutex] inside;
-   nothing takes [recorder_mutex] while holding those. *)
+   recorder).  The read closure takes [obs_mutex] inside; nothing
+   takes [recorder_mutex] while holding it. *)
 let with_recorder t f =
   match t.recorder with
   | None -> None
@@ -584,41 +448,29 @@ let with_recorder t f =
 let tick_recorder t = ignore (with_recorder t Obs.Recorder.tick)
 
 (* The recorder's cumulative snapshot: the same counters the registry
-   exposes, read under the same locks. *)
+   exposes. *)
 let recorder_read t () =
-  drain_stats_pipe t;
-  let latency = with_obs_lock t (fun () -> Obs.Histogram.copy t.latency) in
-  let writev, writes, copied, sent =
-    with_obs_lock t (fun () ->
-        ( Obs.Counter.value t.writev_calls,
-          Obs.Counter.value t.write_calls,
-          Obs.Counter.value t.bytes_copied,
-          Obs.Counter.value t.bytes_sent ))
-  in
-  let wait, work =
-    (Obs.Loopstat.wait_time t.loopstat, Obs.Loopstat.work_time t.loopstat)
-  in
   let cum =
     {
-      Obs.Recorder.c_requests = t.n_requests;
-      c_bytes = sent;
-      c_writev = writev;
-      c_write = writes;
-      c_copied = copied;
+      Obs.Recorder.c_requests = total t Tally.requests;
+      c_bytes = total t Tally.bytes_sent;
+      c_writev = total t Tally.writev_calls;
+      c_write = total t Tally.write_calls;
+      c_copied = total t Tally.bytes_copied;
       c_cache_hits = File_cache.hits t.cache;
       c_cache_misses = File_cache.misses t.cache;
-      c_errors = t.n_errors;
-      c_wait = wait;
-      c_work = work;
-      c_latency = latency;
+      c_errors = total t Tally.errors;
+      c_wait = Obs.Loopstat.wait_time t.loopstat;
+      c_work = Obs.Loopstat.work_time t.loopstat;
+      c_latency = latency_now t;
     }
   in
   let gauges =
     {
-      Obs.Recorder.g_active = active_now t;
+      Obs.Recorder.g_active = total t Tally.active;
       g_helper_queue =
         (match t.helper with Some h -> Helper.queue_depth h | None -> 0);
-      g_mapped = mapped_now t;
+      g_mapped = total t Tally.mapped;
     }
   in
   (cum, gauges)
@@ -707,22 +559,23 @@ let log_slow t (data : Obs.Trace.trace_data) =
         | None -> prerr_endline line
       end
 
-(* MP children ship each finished trace to the parent as a framed
-   binary record on the stats pipe.  Oversized traces (past PIPE_BUF
-   atomicity) are dropped rather than risk interleaving. *)
+(* MP children ship each finished trace to the parent as one frame on
+   the trace pipe.  Oversized traces (past PIPE_BUF atomicity) are
+   dropped rather than risk interleaving. *)
 let ship_trace t data =
-  if t.stats_pipe_write <> None then begin
-    let payload = Obs.Trace.to_binary data in
-    let plen = String.length payload in
-    if plen <= 4000 then begin
-      let b = Bytes.create (3 + plen) in
-      Bytes.set b 0 'T';
-      Bytes.set b 1 (Char.chr (plen land 0xff));
-      Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
-      Bytes.blit_string payload 0 b 3 plen;
-      ship t b
-    end
-  end
+  match t.trace_pipe_write with
+  | None -> ()
+  | Some w ->
+      let payload = Obs.Trace.to_binary data in
+      let plen = String.length payload in
+      if plen <= 4000 then begin
+        let b = Bytes.create (3 + plen) in
+        Bytes.set b 0 'T';
+        Bytes.set b 1 (Char.chr (plen land 0xff));
+        Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
+        Bytes.blit_string payload 0 b 3 plen;
+        try ignore (Unix.write w b 0 (3 + plen)) with Unix.Unix_error _ -> ()
+      end
 
 (* Close the in-flight request's trace: response bytes are out (or the
    connection died).  Pushes it into the ring and, past the threshold,
@@ -860,9 +713,9 @@ let is_trace_request t (req : Http.Request.t) =
   | Some tp, Some _ -> String.equal req.Http.Request.path tp
   | _ -> false
 
-(* Same raw-path matching as the status endpoint.  In MP children this
-   serves the child-local view (the consolidated one lives in the
-   parent, which owns the stats pipe). *)
+(* Same raw-path matching as the status endpoint.  In MP whichever
+   child accepts the scrape renders the whole server: every child's
+   counters are rows of the one shared tally. *)
 let is_metrics_request t (req : Http.Request.t) =
   match t.config.metrics_path with
   | None -> false
@@ -909,9 +762,9 @@ let histogram_text h =
 
 (* One registry walk feeds every surface: the text page, the JSON view
    and /metrics exposition all render the same [collect] result, so
-   they cannot drift.  In an MP child this reports the child's own view
-   ([drain_stats_pipe] refuses to drain there — the shared pipe belongs
-   to the consolidating parent). *)
+   they cannot drift.  In MP every process renders the whole server's
+   counters (they sum the shared tally's rows); only the trace ring is
+   the parent's alone. *)
 let shard_peers t =
   match t.role with
   | Standalone -> None
@@ -926,15 +779,15 @@ let gauge_max_name name =
 (* The sample lists feeding this instance's render surfaces:
    [(summary, all)].  Unsharded both are this registry's walk.  Sharded
    instances concatenate every shard's walk and prepend the
-   summed-at-snapshot aggregate (shard label stripped — the same
-   consolidation the MP parent does over its stats pipe, done here at
-   collect time): [summary] is the aggregate alone, for the status
-   page's by-name lookups; [all] additionally carries every per-shard
-   series for /metrics and the metrics listing. *)
+   summed-at-snapshot aggregate (shard label stripped — the sum MP's
+   shared tally does over its rows, done here at collect time):
+   [summary] is the aggregate alone, for the status page's by-name
+   lookups; [all] additionally carries every per-shard series for
+   /metrics and the metrics listing. *)
 let collect_for t =
   match shard_peers t with
   | None ->
-      drain_stats_pipe t;
+      drain_trace_pipe t;
       let samples = Obs.Registry.collect t.registry in
       (samples, samples)
   | Some shards ->
@@ -1001,13 +854,10 @@ let sharding_views t =
         Array.to_list
           (Array.mapi
              (fun i sh ->
-               let active =
-                 with_obs_lock sh (fun () -> Obs.Gauge.value sh.active)
-               in
                ( i,
                  Evio.Backend.name sh.evio,
-                 sh.n_requests,
-                 active ))
+                 total sh Tally.requests,
+                 total sh Tally.active ))
              shards)
       in
       let json =
@@ -1365,35 +1215,35 @@ let register_metrics t =
       ];
   g ~name:"flash_uptime_seconds" ~help:"Seconds since server start."
     (fun () -> t.config.clock () -. t.started_at);
+  let tc field () = total t field in
   c ~name:"flash_http_requests_total" ~help:"Requests parsed and answered."
-    (fun () -> t.n_requests);
+    (tc Tally.requests);
   c ~name:"flash_http_errors_total"
-    ~help:"Requests answered with an error status." (fun () -> t.n_errors);
+    ~help:"Requests answered with an error status." (tc Tally.errors);
   Array.iteri
     (fun i cls ->
       c ~name:"flash_http_responses_total" ~help:"Responses by status class."
         ~labels:[ ("class", cls) ]
-        (locked (fun () -> t.status_classes.(i))))
+        (tc (Tally.status_class i)))
     status_class_names;
   c ~name:"flash_connections_total" ~help:"Connections accepted."
-    (fun () -> t.n_connections);
+    (tc Tally.connections);
   g ~name:"flash_active_connections"
-    ~help:
-      "Connections currently open (MP: summed over children at snapshot)."
-    (fun () -> float_of_int (active_now t));
+    ~help:"Connections currently open (MP: summed over children)."
+    (fun () -> float_of_int (total t Tally.active));
   c ~name:"flash_writev_calls_total" ~help:"Gather writes issued."
-    (locked (fun () -> Obs.Counter.value t.writev_calls));
+    (tc Tally.writev_calls);
   c ~name:"flash_write_calls_total" ~help:"Scalar/fallback writes issued."
-    (locked (fun () -> Obs.Counter.value t.write_calls));
+    (tc Tally.write_calls);
   c ~name:"flash_bytes_copied_total"
     ~help:"Response bytes copied through userspace."
-    (locked (fun () -> Obs.Counter.value t.bytes_copied));
+    (tc Tally.bytes_copied);
   c ~name:"flash_bytes_sent_total"
     ~help:"Response bytes accepted by the kernel."
-    (locked (fun () -> Obs.Counter.value t.bytes_sent));
+    (tc Tally.bytes_sent);
   hist ~name:"flash_request_duration_seconds"
     ~help:"Per-request latency, parse completion to response generation."
-    (locked (fun () -> Obs.Histogram.copy t.latency));
+    (fun () -> latency_now t);
   let fl = [ ("cache", "file") ] in
   c ~name:"flash_cache_hits_total" ~help:"File-cache hits." ~labels:fl
     (fun () -> File_cache.hits t.cache);
@@ -1418,9 +1268,8 @@ let register_metrics t =
     ~labels:fl
     (fun () -> float_of_int (cstat ()).Flash_cache.Store.capacity);
   g ~name:"flash_cache_mapped_bytes"
-    ~help:
-      "File bytes currently mmapped (MP: summed over children at snapshot)."
-    (fun () -> float_of_int (mapped_now t));
+    ~help:"File bytes currently mmapped (MP: summed over children)."
+    (fun () -> float_of_int (total t Tally.mapped));
   (match t.helper with
   | None -> ()
   | Some h ->
@@ -1462,7 +1311,7 @@ let register_metrics t =
   g ~name:"flash_timers_pending" ~help:"Timers pending in the wheel."
     (fun () -> float_of_int (Evio.Timer_wheel.pending t.wheel));
   c ~name:"flash_accept_emfile_total" ~help:"Accepts shed on EMFILE/ENFILE."
-    (fun () -> Obs.Counter.value t.accept_emfile);
+    (tc Tally.accept_shed);
   g ~name:"flash_accept_paused"
     ~help:"1 while the listen socket is parked by EMFILE backoff."
     (fun () -> if t.accept_paused then 1. else 0.);
@@ -1564,29 +1413,13 @@ let register_metrics t =
 (* Output plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Send-path accounting, all modes.  In an MP child the deltas also ride
-   the stats pipe as a framed 'v' record (tag + four 8-byte LE ints =
-   33 bytes < PIPE_BUF, so writes are atomic) so the parent's
-   consolidated view includes them. *)
+(* Send-path accounting, all modes. *)
 let count_send ?(sent = 0) t ~writev ~writes ~copied =
-  if writev <> 0 || writes <> 0 || copied <> 0 || sent <> 0 then begin
-    if t.stats_pipe_write <> None then begin
-      let b = Bytes.create 33 in
-      Bytes.set b 0 'v';
-      Bytes.set_int64_le b 1 (Int64.of_int writev);
-      Bytes.set_int64_le b 9 (Int64.of_int writes);
-      Bytes.set_int64_le b 17 (Int64.of_int copied);
-      Bytes.set_int64_le b 25 (Int64.of_int sent);
-      ship t b
-    end;
-    (* Mirror locally (MP children keep their own copy-on-write view,
-       matching the request/connection counters). *)
-    with_obs_lock t (fun () ->
-        Obs.Counter.add t.writev_calls writev;
-        Obs.Counter.add t.write_calls writes;
-        Obs.Counter.add t.bytes_copied copied;
-        Obs.Counter.add t.bytes_sent sent)
-  end
+  with_obs_lock t (fun () ->
+      Tally.add t.tally Tally.writev_calls writev;
+      Tally.add t.tally Tally.write_calls writes;
+      Tally.add t.tally Tally.bytes_copied copied;
+      Tally.add t.tally Tally.bytes_sent sent)
 
 (* Strings (error bodies, status/trace payloads, CGI chunks, per-request
    headers) enter the send queue by being copied once into an off-heap
@@ -1826,7 +1659,7 @@ let make_entry t fd full ~size ~mtime =
 let gzip_entry t ~full ~(origin : File_cache.entry) =
   let mtime = origin.File_cache.mtime and size = origin.File_cache.size in
   match
-    with_cache_lock t (fun () ->
+    update_cache t (fun () ->
         File_cache.find_variant t.cache full ~encoding:"gzip" ~mtime ~size)
   with
   | Some e -> Some e
@@ -1870,7 +1703,7 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
             build_entry t ~body ~mapped ~mtime ~size
               ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
           in
-          with_cache_lock t (fun () ->
+          update_cache t (fun () ->
               File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
           Some entry)
 
@@ -1955,8 +1788,7 @@ let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
       if size <= t.config.max_cached_file then begin
         let entry = make_entry t fd full ~size ~mtime in
         Unix.close fd;
-        with_cache_lock t (fun () -> File_cache.insert t.cache full entry);
-        mp_ship_gauges t;
+        update_cache t (fun () -> File_cache.insert t.cache full entry);
         let entry = negotiate_entry t req ~full entry in
         enqueue_response t conn req ~full entry ~keep ~head_only
       end
@@ -2205,7 +2037,7 @@ let rec try_parse t conn =
         conn.inbuf <- "";
         conn.req_start <- t.config.clock ();
         end_parse_span t conn ~label:"bad-request";
-        t.n_requests <- t.n_requests + 1;
+        count t Tally.requests 1;
         enqueue_error ~log:false t conn Http.Status.Bad_request ~keep:false
           ~head_only:false
     | Http.Request.Complete (req, consumed) ->
@@ -2216,7 +2048,7 @@ let rec try_parse t conn =
           ~label:
             (Http.Request.meth_to_string req.Http.Request.meth
             ^ " " ^ req.Http.Request.raw_target);
-        t.n_requests <- t.n_requests + 1;
+        count t Tally.requests 1;
         let rate_verdict =
           match t.guard with
           | Some g -> Guard.on_request g ~peer:conn.peer
@@ -2259,8 +2091,7 @@ let close_conn t conn =
     | Reading | Waiting_helper _ -> ());
     Sendq.close_files conn.outq;
     Sendq.clear conn.outq;
-    with_obs_lock t (fun () -> Obs.Gauge.decr t.active);
-    mp_ship_gauges t;
+    count t Tally.active (-1);
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
 
@@ -2283,7 +2114,7 @@ let on_input t conn n =
 let request_timeout t conn =
   guard_shed t Guard.Slow_header;
   conn.inbuf <- "";
-  t.n_requests <- t.n_requests + 1;
+  count t Tally.requests 1;
   enqueue_error t conn Http.Status.Request_timeout ~keep:false ~head_only:false
 
 (* Flush queued slices with gather writes: everything contiguous at the
@@ -2497,7 +2328,7 @@ let handle_prefetch_completion t w (c : Helper.completion) =
             | fd ->
                 let entry = make_entry t fd full ~size ~mtime in
                 Unix.close fd;
-                with_cache_lock t (fun () ->
+                update_cache t (fun () ->
                     File_cache.insert t.cache full entry;
                     if
                       (not (File_cache.pinned t.cache full))
@@ -2566,7 +2397,7 @@ let accept_backoff_max = 1.0
    timer re-arm it after a backoff that doubles while the descriptor
    table stays full. *)
 let pause_accept t =
-  Obs.Counter.incr t.accept_emfile;
+  count t Tally.accept_shed 1;
   if not t.accept_paused then begin
     t.accept_paused <- true;
     Evio.Backend.modify t.evio t.listen_fd ~read:false ~write:false;
@@ -2599,8 +2430,8 @@ let refuse_fd t fd reason =
     | Guard.Conn_limit | Guard.Rate_limit -> Http.Status.Too_many_requests
     | _ -> Http.Status.Service_unavailable
   in
-  count_connection t;
-  t.n_requests <- t.n_requests + 1;
+  count t Tally.connections 1;
+  count t Tally.requests 1;
   count_response t ~code:(Http.Status.code status) ~latency:Float.nan;
   let retry =
     match t.guard with
@@ -2633,9 +2464,8 @@ let open_conn t fd ~key =
       refuse_fd t fd reason;
       None
   | Guard.Admit ->
-      count_connection t;
-      with_obs_lock t (fun () -> Obs.Gauge.incr t.active);
-      mp_ship_gauges t;
+      count t Tally.connections 1;
+      count t Tally.active 1;
       let now = t.config.clock () in
       Some
         {
@@ -3150,8 +2980,7 @@ let worker_loop t =
   let paused = ref false in
   let backoff = ref accept_backoff_initial in
   let pause () =
-    Obs.Counter.incr t.accept_emfile;
-    ship t (stats_record ~tag:'f' ~latency:0. ());
+    count t Tally.accept_shed 1;
     if not !paused then begin
       paused := true;
       Evio.Backend.modify ev t.listen_fd ~read:false ~write:false;
@@ -3257,15 +3086,21 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
      fd is nonblocking everywhere (a connection that vanishes between
      readiness and accept must yield EAGAIN, not a hang). *)
   Unix.set_nonblock listen_fd;
-  (* The stats pipe exists before [t]: closures created below capture
-     the final record, so no [{ t with ... }] copy may follow. *)
-  let stats_pipe_read, stats_pipe_write =
+  (* The tally and the trace pipe exist before [t]: closures created
+     below capture the final record, so no [{ t with ... }] copy may
+     follow.  MP maps one shared tally row per child before forking. *)
+  let tally =
     match config.mode with
-    | Mp _ ->
+    | Mp n -> Tally.create ~shared:true ~rows:(max 1 n) ()
+    | Amped | Sped | Mt _ | Sharded _ -> Tally.create ~rows:1 ()
+  in
+  let trace_pipe_read, trace_pipe_write =
+    match config.mode with
+    | Mp _ when config.trace ->
         let r, w = Unix.pipe () in
         Unix.set_nonblock r;
         (Some r, Some w)
-    | Amped | Sped | Mt _ | Sharded _ -> (None, None)
+    | _ -> (None, None)
   in
   let budget =
     match (shared_budget, role) with
@@ -3355,25 +3190,16 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       stopped = false;
       loop_thread = None;
       children = [];
-      n_requests = 0;
-      n_connections = 0;
-      n_errors = 0;
       log_channel =
         Option.map
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.access_log;
-      stats_pipe_read;
-      stats_pipe_write;
-      stats_acc = Buffer.create 64;
-      stats_mutex = Mutex.create ();
+      tally;
+      trace_pipe_read;
+      trace_pipe_write;
+      trace_acc = Buffer.create 64;
       cache_mutex;
       obs_mutex = Mutex.create ();
-      latency = Obs.Histogram.create ();
-      writev_calls = Obs.Counter.create ();
-      write_calls = Obs.Counter.create ();
-      bytes_copied = Obs.Counter.create ();
-      bytes_sent = Obs.Counter.create ();
-      status_classes = Array.make 4 0;
       owner_pid = Unix.getpid ();
       registry = Obs.Registry.create ();
       recorder = None;
@@ -3382,12 +3208,10 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         Option.map
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
-      mp_child_gauges = Hashtbl.create 8;
       gather_writes = config.use_writev && Iovec.have_writev;
       watchdog =
         Obs.Watchdog.create ~clock:config.clock
           ~threshold:config.stall_threshold ();
-      active = Obs.Gauge.create ();
       tracer =
         (if config.trace then
            Some
@@ -3404,7 +3228,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       wheel = Evio.Timer_wheel.create ~now:(config.clock ()) ();
       fd_owners = Hashtbl.create 64;
       loopstat = Obs.Loopstat.create ();
-      accept_emfile = Obs.Counter.create ();
       accept_paused = false;
       accept_backoff = accept_backoff_initial;
       role;
@@ -3439,10 +3262,12 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
   (match config.mode with
   | Mp n ->
       let children =
-        List.init (max 1 n) (fun _ ->
+        List.init (max 1 n) (fun i ->
             match Unix.fork () with
             | 0 ->
-                (* Child: blocking accept loop; never returns. *)
+                (* Child: counts into its own tally row; blocking accept
+                   loop; never returns. *)
+                Tally.claim t.tally i;
                 (try worker_loop t with _ -> ());
                 Stdlib.exit 0
             | pid -> pid)
@@ -3554,13 +3379,14 @@ let sharding_info t =
   | None -> None
   | Some shards -> Some (Array.length shards, t.accept_strategy)
 
-(* The MP parent's only job: consolidate children's statistics.  It
-   sleeps in its backend for at most one recorder interval — the stats
-   pipe or the wake pipe interrupts it sooner; the timeout closes
-   flight-recorder windows on an idle server. *)
-let mp_parent_loop t =
-  let buf = Bytes.create 4095 in
-  (match t.stats_pipe_read with
+(* The MP parent's and the MT main thread's only job: collect MP
+   children's traces (workers count into the tally themselves).  It is
+   no event loop — its wakeups are not loop statistics — and sleeps in
+   its backend for at most one recorder interval: the trace pipe or the
+   wake pipe interrupts it sooner; the timeout closes flight-recorder
+   windows on an idle server. *)
+let park_loop t =
+  (match t.trace_pipe_read with
   | Some r -> Evio.Backend.register t.evio r ~read:true ~write:false
   | None -> ());
   Evio.Backend.register t.evio t.wake_read ~read:true ~write:false;
@@ -3570,55 +3396,18 @@ let mp_parent_loop t =
     | None -> None
   in
   while not t.stopped do
-    let wait_start = t.config.clock () in
-    let events = Evio.Backend.wait t.evio ~timeout in
-    Obs.Loopstat.wake t.loopstat
-      ~waited:(t.config.clock () -. wait_start)
-      ~ready:(List.length events);
+    (* The wake pipe only ever signals [stop], and is left undrained:
+       MT workers park on it too. *)
     List.iter
       (fun (e : Evio.event) ->
-        if e.Evio.fd = t.wake_read then begin
-          let b = Bytes.create 64 in
-          try ignore (Unix.read t.wake_read b 0 64)
-          with Unix.Unix_error _ -> ()
-        end
-        else
-          match t.stats_pipe_read with
-          | Some r when e.Evio.fd = r && e.Evio.readable -> (
-              Mutex.lock t.stats_mutex;
-              match
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock t.stats_mutex)
-                  (fun () ->
-                    match Unix.read r buf 0 4095 with
-                    | n when n > 0 -> consume_stats t buf n
-                    | _ -> ())
-              with
-              | () -> ()
-              | exception Unix.Unix_error _ -> ())
-          | _ -> ())
-      events;
+        if e.Evio.fd <> t.wake_read && e.Evio.readable then drain_trace_pipe t)
+      (Evio.Backend.wait t.evio ~timeout);
     tick_recorder t
   done
 
 let run t =
   match t.config.mode with
-  | Mp _ -> mp_parent_loop t
-  | Mt _ ->
-      (* Threads update shared counters themselves; park on the wake
-         pipe, waking once per recorder interval to close windows on an
-         idle server. *)
-      let timeout =
-        match t.recorder with
-        | Some r -> Obs.Recorder.interval r
-        | None -> -1.
-      in
-      while not t.stopped do
-        (match Unix.select [ t.wake_read ] [] [] timeout with
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ());
-        tick_recorder t
-      done
+  | Mp _ | Mt _ -> park_loop t
   | Sharded _ -> (
       match t.role with
       | Shard_coordinator _ ->
@@ -3657,12 +3446,9 @@ let teardown t =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
   (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
-  (match t.stats_pipe_read with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  (match t.stats_pipe_write with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (Option.to_list t.trace_pipe_read @ Option.to_list t.trace_pipe_write);
   (try Unix.close t.wake_read with Unix.Unix_error _ -> ());
   try Unix.close t.wake_write with Unix.Unix_error _ -> ()
 
@@ -3692,28 +3478,27 @@ let stop t =
   end
 
 let stats_one t =
-  drain_stats_pipe t;
   {
-    requests = t.n_requests;
-    connections = t.n_connections;
-    errors = t.n_errors;
+    requests = total t Tally.requests;
+    connections = total t Tally.connections;
+    errors = total t Tally.errors;
     cache_hits = File_cache.hits t.cache;
     cache_misses = File_cache.misses t.cache;
     helper_jobs = (match t.helper with Some h -> Helper.dispatched h | None -> 0);
     cache_evictions = File_cache.evictions t.cache;
     helper_queue_depth =
       (match t.helper with Some h -> Helper.queue_depth h | None -> 0);
-    active_connections = active_now t;
+    active_connections = total t Tally.active;
     loop_stalls = Obs.Watchdog.stalls t.watchdog;
     loop_max_stall = Obs.Watchdog.max_gap t.watchdog;
-    writev_calls = with_obs_lock t (fun () -> Obs.Counter.value t.writev_calls);
-    write_calls = with_obs_lock t (fun () -> Obs.Counter.value t.write_calls);
-    bytes_copied = with_obs_lock t (fun () -> Obs.Counter.value t.bytes_copied);
-    mapped_bytes = mapped_now t;
+    writev_calls = total t Tally.writev_calls;
+    write_calls = total t Tally.write_calls;
+    bytes_copied = total t Tally.bytes_copied;
+    mapped_bytes = total t Tally.mapped;
     event_backend = Evio.name t.config.event_backend;
     loop_wakeups = Obs.Loopstat.wakeups t.loopstat;
     timer_fires = Obs.Loopstat.timer_fires t.loopstat;
-    accept_emfile = Obs.Counter.value t.accept_emfile;
+    accept_emfile = total t Tally.accept_shed;
   }
 
 (* Sharded instances report the consolidated view, summed at snapshot
@@ -3751,12 +3536,10 @@ let stats t =
 
 let latency t =
   match shard_peers t with
-  | None -> with_obs_lock t (fun () -> Obs.Histogram.copy t.latency)
+  | None -> latency_now t
   | Some shards ->
       Array.fold_left
-        (fun acc sh ->
-          Obs.Histogram.merge acc
-            (with_obs_lock sh (fun () -> Obs.Histogram.copy sh.latency)))
+        (fun acc sh -> Obs.Histogram.merge acc (latency_now sh))
         (Obs.Histogram.create ()) shards
 
 let helper_job_latency t = Option.map Helper.job_latency t.helper
@@ -3765,24 +3548,22 @@ let loop_iterations t = Obs.Watchdog.iterations t.watchdog
 
 let tracing_enabled t = t.tracer <> None
 
-(* Both drain the stats pipe first so an MP parent's view includes
+(* Both drain the trace pipe first so an MP parent's view includes
    traces the children have shipped but the parent loop has not yet
    consumed. *)
 let trace_snapshot t =
-  drain_stats_pipe t;
+  drain_trace_pipe t;
   match t.tracer with
   | None -> []
   | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.snapshot tracer)
 
 let trace_chrome_json t =
-  drain_stats_pipe t;
+  drain_trace_pipe t;
   trace_body t
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
-   ring.  Drains the stats pipe first so an MP parent's dump reflects
-   everything the children have shipped. *)
+   ring. *)
 let recorder_dump t =
-  drain_stats_pipe t;
   match with_recorder t Obs.Recorder.dump_json with
   | Some s -> s
   | None -> {|{"capacity": 0, "interval": 0, "rollups": []}|}

@@ -57,13 +57,12 @@
     body copies.  Partial writes survive by advancing slice offsets in
     place; error, status and CGI responses ride the same queue.
     [writev]/[write] calls and bytes copied are counted per server (MP
-    children ship deltas to the parent over the stats pipe).
+    children each count into their own row of one shared tally).
 
     {2 Observability}
 
     The server is instrumented with {!Obs}: a log-bucketed per-request
-    latency histogram (recorded at response generation in all four
-    modes — MP children ship theirs to the parent over the stats pipe),
+    latency histogram (recorded at response generation in every mode),
     an event-loop stall watchdog (any iteration whose processing
     exceeds [stall_threshold] counts as a stall — the measurable
     signature of the SPED pathology), live/total connection gauges,
@@ -72,6 +71,13 @@
     [GET /server-status] endpoint: human-readable text by default,
     JSON with [?json].  The endpoint is matched before docroot/CGI
     resolution and never appears in the access log.
+
+    Request, connection, response and send-path counters, the active
+    and mapped gauges and the latency histogram live in a {!Tally}: one
+    row per writer, read as row sums.  MP maps it shared before
+    forking, each child writes only its own row, so whichever process
+    renders a view — the parent, or the child that accepted the scrape
+    — reports the whole server, without any IPC.
 
     {2 Tracing}
 
@@ -83,8 +89,8 @@
     and close.  Completed traces land in a bounded ring served as
     Chrome trace-event JSON by [GET /server-trace] (Perfetto-loadable,
     one track per process/helper).  MP children ship finished traces to
-    the parent as compact binary records on the stats pipe, so the
-    parent's ring — and its [/server-trace] — covers all children.
+    the parent as compact binary frames on a trace pipe (opened only
+    with tracing on), so the parent's ring covers all children.
     Requests slower than [slow_request_ms] are additionally appended to
     a slow-request log as a one-line span breakdown. *)
 
@@ -178,9 +184,9 @@ type config = {
           shedding path without exhausting real descriptors *)
   metrics_path : string option;
       (** Prometheus text exposition endpoint (default ["/metrics"]);
-          [None] disables it.  In MP mode a child serves its own view
-          over HTTP; the parent's consolidated exposition is
-          {!metrics_body}. *)
+          [None] disables it.  In MP mode the child serving it renders
+          the whole server's counters, as {!metrics_body} does on the
+          parent. *)
   latency_slo : (float * float) option;
       (** [(quantile, target_ms)]: evaluate a latency SLO over the
           flight recorder's windows — e.g. [(99., 50.)] means "p99 at
@@ -277,8 +283,8 @@ val sharding_info : t -> (int * string) option
 (** [Some (domains, strategy)] for a sharded server — strategy is
     ["reuseport"] or ["handoff"] — [None] otherwise. *)
 
-(** Snapshot of the per-request latency histogram (seconds).  In MP
-    mode this is the parent's consolidated view. *)
+(** Snapshot of the per-request latency histogram (seconds), summed over
+    every MP child. *)
 val latency : t -> Obs.Histogram.t
 
 (** Snapshot of the helper job-latency histogram (AMPED only). *)
@@ -289,8 +295,8 @@ val loop_iterations : t -> int
 
 val tracing_enabled : t -> bool
 
-(** Completed traces in the ring, oldest first.  In MP mode this is the
-    parent's consolidated view (the stats pipe is drained first). *)
+(** Completed traces in the ring, oldest first.  On the MP parent this
+    covers every child (the trace pipe is drained first). *)
 val trace_snapshot : t -> Obs.Trace.trace_data list
 
 (** The ring as Chrome trace-event JSON — what [GET /server-trace]
@@ -298,10 +304,8 @@ val trace_snapshot : t -> Obs.Trace.trace_data list
 val trace_chrome_json : t -> string
 
 (** One walk over the unified metrics registry, rendered as Prometheus
-    text exposition — what [GET /metrics] serves.  In MP mode, calling
-    this on the parent drains the stats pipe first and renders the
-    consolidated view (a child serving the endpoint over HTTP renders
-    its own). *)
+    text exposition — what [GET /metrics] serves.  In MP mode the parent
+    and every child render the same whole-server counters. *)
 val metrics_body : t -> string
 
 (** Flight-recorder dump: flush the partial window, render the whole

@@ -137,6 +137,19 @@ let merge a b =
   m.max_v <- Float.max a.max_v b.max_v;
   m
 
+let of_counts ?base ?lo counts ~sum ~min ~max =
+  let t = create ?base ?lo () in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        ensure t i;
+        t.counts.(i) <- c;
+        t.used <- i + 1;
+        t.total <- t.total + c
+      end)
+    counts;
+  if t.total > 0 then { t with sum; min_v = min; max_v = max } else t
+
 let buckets t =
   let out = ref [] in
   for i = t.used - 1 downto 0 do

@@ -67,6 +67,16 @@ val diff : t -> t -> t
     streams.  @raise Invalid_argument if [base]/[lo] differ. *)
 val merge : t -> t -> t
 
+(** [of_counts counts ~sum ~min ~max] rebuilds a histogram from its
+    bucket counts ([counts.(i)] is bucket [i] of the [base]/[lo] ladder,
+    defaults as in {!create}) and the exact [sum], [min] and [max] of
+    the values recorded; the count is the sum of [counts].  This is how
+    counts kept outside a histogram (e.g. summed over shared-memory
+    rows) become one again. *)
+val of_counts :
+  ?base:float -> ?lo:float -> int array -> sum:float -> min:float ->
+  max:float -> t
+
 (** Non-empty buckets as [(lower, upper, count)], lowest first.  Bucket
     counts sum to [count t]. *)
 val buckets : t -> (float * float * int) list

@@ -470,7 +470,10 @@ let test_mp_gauges_sum_at_snapshot () =
         (await (fun () ->
              (Server.stats server).Server.active_connections = 0)))
 
-(* MP counters still consolidate as sums across children. *)
+(* MP counters are rows of one shared tally.  The parent's exposition
+   sums them, and so does whichever child serves /metrics over HTTP:
+   every scrape counts each request sent so far, itself included, and
+   successive scrapes never go backwards. *)
 let test_mp_metrics_consolidated () =
   let docroot = Test_live.make_docroot () in
   with_config
@@ -482,7 +485,22 @@ let test_mp_metrics_consolidated () =
       ignore (await (fun () -> (Server.stats server).Server.requests >= 4));
       let families = validate_families (Server.metrics_body server) in
       Alcotest.(check bool) "parent consolidates child requests" true
-        (series_value families "flash_http_requests_total" >= 4.))
+        (series_value families "flash_http_requests_total" >= 4.);
+      let sent = ref 4 and last = ref 0 in
+      for _ = 1 to 8 do
+        ignore (get port "/hello.txt");
+        let r = get port "/metrics" in
+        sent := !sent + 2;
+        let n =
+          int_of_float
+            (series_value
+               (validate_families r.Client.body)
+               "flash_http_requests_total")
+        in
+        Alcotest.(check int) "scrape counts every request sent" !sent n;
+        Alcotest.(check bool) "scrapes never decrease" true (n >= !last);
+        last := n
+      done)
 
 let suite =
   [

@@ -77,6 +77,69 @@ let prop_relative_error_bounded =
         sorted
         (List.init n (fun i -> i + 1)))
 
+(* The live server's tally keeps latency as per-writer rows of bucket
+   counts: values split across k rows, summed and rebuilt, must be the
+   histogram one writer would have recorded — exact on count, buckets,
+   extrema and percentiles; the float sum up to summation order. *)
+module Tally = Flash_live.Tally
+
+let split_samples hi =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list (pair int float)))
+    QCheck.Gen.(
+      pair (int_range 1 6)
+        (list_size (int_range 0 200)
+           (pair (int_bound 5)
+              (oneof
+                 [
+                   float_range 0. 1e-6;
+                   float_range 1e-6 1e-3;
+                   float_range 1e-3 3000.;
+                   float_range 3000. hi;
+                 ]))))
+
+let record_split (k, xs) =
+  let tally = Tally.create ~rows:k () and whole = H.create () in
+  List.iter
+    (fun (row, x) ->
+      Tally.claim tally (row mod k);
+      Tally.record_latency tally x;
+      H.record whole x)
+    xs;
+  (Tally.latency tally, whole)
+
+let sum_close a b = Float.abs (a -. b) <= 1e-9 *. Float.abs b
+
+(* 3000 s sits below the top bucket (about 3600-3900 s). *)
+let prop_tally_rebuild =
+  Helpers.qcheck_case ~count:300 ~name:"tally rows rebuild one histogram"
+    (split_samples 3000.) (fun sample ->
+      let h, whole = record_split sample in
+      let same f = Float.equal (f h) (f whole) in
+      H.count h = H.count whole
+      && H.buckets h = H.buckets whole
+      && same H.min && same H.max
+      && sum_close (H.sum h) (H.sum whole)
+      && List.for_all
+           (fun p -> same (fun h -> H.percentile h p))
+           [ 0.; 10.; 50.; 90.; 99.; 100. ])
+
+(* Past the top bucket (its upper edge is about 3940 s) values clamp
+   into it: the count and the extrema stay exact. *)
+let prop_tally_clamps =
+  Helpers.qcheck_case ~count:300 ~name:"tally clamps past the top bucket"
+    (split_samples 1e9) (fun sample ->
+      let h, whole = record_split sample in
+      let bucket_total =
+        List.fold_left (fun acc (_, _, c) -> acc + c) 0 (H.buckets h)
+      in
+      H.count h = H.count whole
+      && bucket_total = H.count whole
+      && List.for_all (fun (_, hi, _) -> hi < 4000.) (H.buckets h)
+      && Float.equal (H.max h) (H.max whole)
+      && Float.equal (H.min h) (H.min whole)
+      && sum_close (H.sum h) (H.sum whole))
+
 let test_histogram_basics () =
   let h = H.create () in
   Alcotest.(check int) "empty count" 0 (H.count h);
@@ -200,6 +263,8 @@ let suite =
     prop_count_conserved;
     prop_merge_equiv;
     prop_relative_error_bounded;
+    prop_tally_rebuild;
+    prop_tally_clamps;
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "copy is independent" `Quick
       test_histogram_copy_independent;
