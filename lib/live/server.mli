@@ -274,8 +274,11 @@ val start_background : config -> t
 val stop : t -> unit
 
 val stats : t -> stats
-(** Sharded servers report the consolidated view, summed at snapshot
-    over every shard. *)
+(** The status page's named fields, read off the same registry walk:
+    MP sums every child's row, and a sharded server reports the
+    aggregate of every shard's series (sums, or maxima for
+    [loop_max_stall]).  [accept_emfile] also counts the sharded
+    coordinator's hand-off sheds. *)
 
 val mode : t -> mode
 
@@ -283,25 +286,18 @@ val sharding_info : t -> (int * string) option
 (** [Some (domains, strategy)] for a sharded server — strategy is
     ["reuseport"] or ["handoff"] — [None] otherwise. *)
 
-(** Snapshot of the per-request latency histogram (seconds), summed over
-    every MP child. *)
+(** Snapshot of the per-request latency histogram (seconds) from the
+    same walk as {!stats}: merged over every MP child or shard. *)
 val latency : t -> Obs.Histogram.t
 
 (** Snapshot of the helper job-latency histogram (AMPED only). *)
 val helper_job_latency : t -> Obs.Histogram.t option
-
-(** Event-loop iterations completed (0 for MP/MT). *)
-val loop_iterations : t -> int
 
 val tracing_enabled : t -> bool
 
 (** Completed traces in the ring, oldest first.  On the MP parent this
     covers every child (the trace pipe is drained first). *)
 val trace_snapshot : t -> Obs.Trace.trace_data list
-
-(** The ring as Chrome trace-event JSON — what [GET /server-trace]
-    serves. *)
-val trace_chrome_json : t -> string
 
 (** One walk over the unified metrics registry, rendered as Prometheus
     text exposition — what [GET /metrics] serves.  In MP mode the parent
@@ -312,7 +308,3 @@ val metrics_body : t -> string
     ring as [{"capacity":…, "interval":…, "rollups":[…]}].  Wired to
     SIGUSR1 by [flash_serve]. *)
 val recorder_dump : t -> string
-
-(** Newest [n] flight-recorder rollups, oldest first — the data behind
-    [GET /server-status?window=N]. *)
-val recorder_window : t -> int -> Obs.Recorder.rollup list

@@ -21,14 +21,3 @@ let ready_fds t = t.ready_fds
 let wait_time t = t.wait_time
 let work_time t = t.work_time
 let timer_fires t = t.timer_fires
-
-let ready_per_wakeup t =
-  if t.wakeups = 0 then 0.
-  else float_of_int t.ready_fds /. float_of_int t.wakeups
-
-let reset t =
-  t.wakeups <- 0;
-  t.ready_fds <- 0;
-  t.wait_time <- 0.;
-  t.work_time <- 0.;
-  t.timer_fires <- 0

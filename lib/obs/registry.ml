@@ -111,7 +111,7 @@ let collect t =
    shard label and fold series that collide.  Counters and gauges sum
    (a gauge like active connections is additive across shards); gauges
    whose name matches [gauge_max] take the max instead (uptime, SLO
-   state); histograms merge; info series dedupe (same payload on every
+   state and burn, high-water marks); histograms merge; info series dedupe (same payload on every
    shard once the shard label is gone). *)
 let aggregate ?(gauge_max = fun _ -> false) ~drop samples =
   let tbl = Hashtbl.create 64 in

@@ -303,41 +303,46 @@ let test_metrics_disabled () =
 
 (* Both status views print the registry verbatim: every key in the text
    view's metrics section appears in the JSON metrics object and vice
-   versa — the two surfaces cannot drift because they are one walk. *)
+   versa — the two surfaces cannot drift because they are one walk —
+   and the JSON view's named fields equal their flat series.  MP runs
+   too: whichever child answers renders the shared tally. *)
 let test_status_views_never_drift () =
-  let docroot = Test_live.make_docroot () in
-  with_config (Server.default_config ~docroot) (fun _server port ->
-      ignore (get port "/hello.txt");
-      let text = (get port "/server-status").Client.body in
-      let j = get_status_json port in
-      let text_keys =
-        let lines = String.split_on_char '\n' text in
-        let rec after_header = function
-          | [] -> Alcotest.fail "text view lacks a metrics section"
-          | "metrics:" :: rest -> rest
-          | _ :: rest -> after_header rest
-        in
-        after_header lines
-        |> List.filter_map (fun line ->
-               if String.length line > 2 && String.sub line 0 2 = "  " then
-                 (* key and value separated by the LAST space: label
-                    values may themselves contain spaces. *)
-                 let body = String.sub line 2 (String.length line - 2) in
-                 match String.rindex_opt body ' ' with
-                 | Some i -> Some (String.sub body 0 i)
-                 | None -> None
-               else None)
-      in
-      let json_keys =
-        match member "metrics" j with
-        | Obj kvs -> List.map fst kvs
-        | _ -> Alcotest.fail "JSON metrics should be an object"
-      in
-      Alcotest.(check bool) "registry non-trivial" true
-        (List.length text_keys > 20);
-      Alcotest.(check (list string))
-        "same keys, same order"
-        text_keys json_keys)
+  List.iter
+    (fun mode ->
+      with_mode mode (fun _server port ->
+          ignore (get port "/hello.txt");
+          let text = (get port "/server-status").Client.body in
+          let j = get_status_json port in
+          let text_keys =
+            let lines = String.split_on_char '\n' text in
+            let rec after_header = function
+              | [] -> Alcotest.fail "text view lacks a metrics section"
+              | "metrics:" :: rest -> rest
+              | _ :: rest -> after_header rest
+            in
+            after_header lines
+            |> List.filter_map (fun line ->
+                   if String.length line > 2 && String.sub line 0 2 = "  " then
+                     (* key and value separated by the LAST space: label
+                        values may themselves contain spaces. *)
+                     let body = String.sub line 2 (String.length line - 2) in
+                     match String.rindex_opt body ' ' with
+                     | Some i -> Some (String.sub body 0 i)
+                     | None -> None
+                   else None)
+          in
+          let json_keys =
+            match member "metrics" j with
+            | Obj kvs -> List.map fst kvs
+            | _ -> Alcotest.fail "JSON metrics should be an object"
+          in
+          Alcotest.(check bool) "registry non-trivial" true
+            (List.length text_keys > 20);
+          Alcotest.(check (list string))
+            "same keys, same order"
+            text_keys json_keys;
+          check_named_fields j))
+    [ Server.Amped; Server.Mp 2 ]
 
 let test_window_returns_rollups () =
   let docroot = Test_live.make_docroot () in

@@ -190,7 +190,11 @@ let prop_budget_shed_exact (domains, ops) =
 (* The sharded server                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let with_sharded ?(force_handoff = false) ?cache_budget_bytes ?guard n f =
+(* [~breached_slo:true] adds a latency SLO no request can meet, judged
+   every 50 ms, so the health families exist and every shard that has
+   served traffic burns at 1. *)
+let with_sharded ?(force_handoff = false) ?cache_budget_bytes ?guard
+    ?(breached_slo = false) n f =
   let docroot = Test_live.make_docroot () in
   let base = Server.default_config ~docroot in
   let config =
@@ -200,15 +204,29 @@ let with_sharded ?(force_handoff = false) ?cache_budget_bytes ?guard n f =
       force_handoff;
       cache_budget_bytes;
       guard = Option.value guard ~default:base.Server.guard;
+      latency_slo = (if breached_slo then Some (99., 0.001) else None);
+      recorder_interval =
+        (if breached_slo then 0.05 else base.Server.recorder_interval);
     }
   in
   with_config config f
+
+(* A connection cap no sequential client reaches: the guard families
+   exist, and nothing is refused. *)
+let loose_guard = { Guard.default_config with Guard.max_conns_per_ip = Some 64 }
 
 let drive port n =
   for _ = 1 to n do
     let r = get port "/hello.txt" in
     Alcotest.(check int) "hello 200" 200 r.Client.status;
     Alcotest.(check string) "hello body" "hello live world" r.Client.body
+  done
+
+(* [n] requests spread over several recorder windows. *)
+let drive_windows port n =
+  for i = 1 to n do
+    drive port 1;
+    if i mod 5 = 0 then Thread.delay 0.06
   done
 
 let check_sharding_block server j ~domains =
@@ -284,56 +302,107 @@ let test_sharded_shared_budget () =
       let stats = await_stats server (fun s -> s.Server.requests >= 18) in
       Alcotest.(check bool) "all served" true (stats.Server.requests >= 18))
 
+(* Aggregated with max across shards, not summed: uptime, states and
+   levels, fractions, window counts, maxima and high-water marks.  Info
+   series dedupe (each shard's is 1), which the max also expresses. *)
+let max_gauges =
+  [
+    "flash_uptime_seconds";
+    "flash_slo_state";
+    "flash_slo_burn_ratio";
+    "flash_slo_windows";
+    "flash_guard_state";
+    "flash_loop_max_stall_seconds";
+    "flash_helper_queue_depth_hwm";
+  ]
+
 (* /metrics of a sharded server: strictly valid exposition, per-shard
-   series under the shard label, and the unlabeled aggregate equal to
-   the per-shard sum at snapshot. *)
+   series under the shard label, and every series without the label
+   that has shard-labelled siblings equal to their aggregate at
+   snapshot: counters, histogram rows and gauges sum, except the
+   [max_gauges] and info series, which take the max. *)
 let test_sharded_metrics () =
-  with_sharded 2 (fun server port ->
-      drive port 10;
-      ignore (await_stats server (fun s -> s.Server.requests >= 10));
+  with_sharded ~breached_slo:true ~guard:loose_guard 2 (fun server port ->
+      drive_windows port 20;
+      ignore (await_stats server (fun s -> s.Server.requests >= 20));
       let r = get port "/metrics" in
       Alcotest.(check int) "metrics 200" 200 r.Client.status;
-      (match Obs.Exposition.validate r.Client.body with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "sharded exposition invalid: %s" msg);
-      let lines = String.split_on_char '\n' r.Client.body in
-      let requests_value line =
-        match String.index_opt line ' ' with
-        | Some i ->
-            int_of_float
-              (float_of_string
-                 (String.sub line (i + 1) (String.length line - i - 1)))
-        | None -> Alcotest.failf "unparseable sample line %S" line
+      let open Obs.Exposition in
+      let families =
+        match validate r.Client.body with
+        | Ok fs -> fs
+        | Error msg -> Alcotest.failf "sharded exposition invalid: %s" msg
       in
-      let starts_with prefix l =
-        String.length l >= String.length prefix
-        && String.sub l 0 (String.length prefix) = prefix
-      in
-      let aggregate = ref None and shards = ref [] in
+      let sharded s = List.mem_assoc "shard" s.s_labels in
+      let checked = ref [] in
       List.iter
-        (fun l ->
-          if starts_with "flash_http_requests_total{shard=" l then
-            shards := requests_value l :: !shards
-          else if starts_with "flash_http_requests_total " l then
-            aggregate := Some (requests_value l))
-        lines;
-      Alcotest.(check int) "one series per shard" 2 (List.length !shards);
-      match !aggregate with
-      | None -> Alcotest.fail "aggregate flash_http_requests_total missing"
-      | Some agg ->
-          Alcotest.(check int)
-            "aggregate equals shard sum"
-            (List.fold_left ( + ) 0 !shards)
-            agg)
+        (fun f ->
+          let use_max =
+            List.mem f.f_name max_gauges
+            || String.ends_with ~suffix:"_info" f.f_name
+          in
+          List.iter
+            (fun agg ->
+              let siblings =
+                List.filter_map
+                  (fun s ->
+                    if
+                      s.s_name = agg.s_name && sharded s
+                      && List.remove_assoc "shard" s.s_labels = agg.s_labels
+                    then Some s.s_value
+                    else None)
+                  f.f_series
+              in
+              if siblings <> [] then begin
+                let expected =
+                  if use_max then List.fold_left Float.max neg_infinity siblings
+                  else List.fold_left ( +. ) 0. siblings
+                in
+                Alcotest.(check (float (1e-6 *. Float.max 1. expected)))
+                  (Printf.sprintf "aggregate %s{%s}" agg.s_name
+                     (String.concat ","
+                        (List.map (fun (k, v) -> k ^ "=" ^ v) agg.s_labels)))
+                  expected agg.s_value;
+                checked := agg.s_name :: !checked
+              end)
+            (List.filter (fun s -> not (sharded s)) f.f_series))
+        families;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (name ^ " aggregate checked") true (List.mem name !checked))
+        [
+          "flash_http_requests_total";
+          "flash_loop_ready_fds_total";
+          "flash_loop_max_stall_seconds";
+          "flash_slo_burn_ratio";
+          "flash_guard_shed_total";
+          "flash_request_duration_seconds_bucket";
+        ];
+      let requests_series =
+        List.concat_map
+          (fun f -> if f.f_name = "flash_http_requests_total" then f.f_series else [])
+          families
+      in
+      Alcotest.(check int) "one series per shard" 2
+        (List.length (List.filter sharded requests_series)))
 
 (* The PR 7 no-drift rule extended to sharded views: the text page's
    metrics section and the JSON "metrics" object list the same keys in
-   the same order — shard-labeled and aggregate rows included. *)
+   the same order — shard-labeled and aggregate rows included — and the
+   JSON view's named fields (health and guard too) equal the aggregate
+   series on the same page, whichever shard renders it. *)
 let test_sharded_views_never_drift () =
-  with_sharded 2 (fun _server port ->
-      drive port 4;
+  with_sharded ~breached_slo:true ~guard:loose_guard 2 (fun _server port ->
+      drive_windows port 20;
       let text = (get port "/server-status").Client.body in
       let j = get_status_json port in
+      check_named_fields j;
+      let burn = to_num (member "burn" (member "health" j)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "burn %g is a fraction" burn)
+        true
+        (burn > 0. && burn <= 1.);
       let json_keys =
         match member "metrics" j with
         | Obj kv -> List.map fst kv

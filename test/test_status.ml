@@ -211,6 +211,106 @@ let get_status_json port =
     (List.assoc_opt "content-type" r.Client.headers);
   parse_json r.Client.body
 
+(* Every named field of a ?json page equals its series in the same
+   page's flat "metrics" object: one registry walk feeds both, so no
+   field may be read from anywhere else. *)
+let check_named_fields j =
+  let metrics =
+    match member "metrics" j with
+    | Obj kv -> kv
+    | _ -> Alcotest.fail "metrics not an object"
+  in
+  let series key =
+    match List.assoc_opt key metrics with
+    | Some v -> to_num v
+    | None -> Alcotest.failf "metrics object lacks %S" key
+  in
+  let eq field v key = Alcotest.(check (float 0.)) field (series key) (to_num v) in
+  eq "requests" (member "requests" j) "flash_http_requests_total";
+  eq "errors" (member "errors" j) "flash_http_errors_total";
+  List.iter
+    (fun cls ->
+      eq ("responses." ^ cls)
+        (member cls (member "responses" j))
+        (Printf.sprintf "flash_http_responses_total{class=%s}" cls))
+    [ "2xx"; "3xx"; "4xx"; "5xx" ];
+  eq "cache.hits" (member "hits" (member "cache" j))
+    "flash_cache_hits_total{cache=file}";
+  List.iter
+    (fun (field, key) -> eq ("send." ^ field) (member field (member "send" j)) key)
+    [
+      ("writev_calls", "flash_writev_calls_total");
+      ("write_calls", "flash_write_calls_total");
+      ("bytes_copied", "flash_bytes_copied_total");
+      ("bytes_sent", "flash_bytes_sent_total");
+    ];
+  eq "latency_ms.count"
+    (member "count" (member "latency_ms" j))
+    "flash_request_duration_seconds_count";
+  let loop = member "loop" j in
+  eq "loop.wakeups" (member "wakeups" loop) "flash_loop_wakeups_total";
+  let wakeups = series "flash_loop_wakeups_total" in
+  let ratio =
+    if wakeups = 0. then 0. else series "flash_loop_ready_fds_total" /. wakeups
+  in
+  Alcotest.(check (float (1e-5 *. Float.max 1. ratio)))
+    "loop.ready_per_wakeup" ratio
+    (to_num (member "ready_per_wakeup" loop));
+  (match member "health" j with
+  | Null -> ()
+  | health ->
+      eq "health.burn" (member "burn" health) "flash_slo_burn_ratio";
+      eq "health.windows" (member "windows" health) "flash_slo_windows");
+  (match member "guard" j with
+  | Null -> ()
+  | guard ->
+      eq "guard.level" (member "level" guard) "flash_guard_state";
+      let sheds =
+        match member "shed" guard with
+        | Obj kv -> kv
+        | _ -> Alcotest.fail "guard.shed not an object"
+      in
+      Alcotest.(check bool) "guard.shed lists reasons" true (sheds <> []);
+      List.iter
+        (fun (reason, v) ->
+          eq ("guard.shed." ^ reason) v
+            (Printf.sprintf "flash_guard_shed_total{reason=%s}" reason))
+        sheds;
+      let total =
+        List.fold_left
+          (fun a (k, v) ->
+            if
+              String.starts_with ~prefix:"flash_guard_shed_total{" k
+              && not (Helpers.contains k ~affix:"shard=")
+            then a +. to_num v
+            else a)
+          0. metrics
+      in
+      Alcotest.(check (float 0.))
+        "guard.shed_total" total
+        (to_num (member "shed_total" guard)));
+  match member "sharding" j with
+  | Null -> ()
+  | sharding ->
+      let shards =
+        match member "shards" sharding with
+        | Arr l -> l
+        | _ -> Alcotest.fail "sharding.shards not an array"
+      in
+      Alcotest.(check bool) "sharding lists shards" true (shards <> []);
+      List.iter
+        (fun sh ->
+          let i = to_int (member "shard" sh) in
+          eq
+            (Printf.sprintf "sharding.shards[%d].requests" i)
+            (member "requests" sh)
+            (Printf.sprintf "flash_http_requests_total{shard=%d}" i);
+          eq
+            (Printf.sprintf "sharding.shards[%d].active" i)
+            (member "active" sh)
+            (Printf.sprintf "flash_active_connections{shard=%d}" i))
+        shards
+
 (* ------------------------------------------------------------------ *)
 (* /server-status across the four architectures                        *)
 (* ------------------------------------------------------------------ *)
