@@ -447,7 +447,7 @@ let trace_capacity =
   Arg.(
     value & opt int 256
     & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Completed traces kept in the ring buffer.")
+        ~doc:"Completed traces kept in the ring buffer (per child in MP).")
 
 let trace_path =
   Arg.(

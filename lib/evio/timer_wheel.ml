@@ -2,7 +2,7 @@ type 'a entry = {
   deadline : float;
   seq : int;
   payload : 'a;
-  mutable cancelled : bool;
+  mutable armed : bool;  (* until cancelled or fired *)
 }
 
 type 'a timer = 'a entry
@@ -16,11 +16,13 @@ type 'a t = {
      the early side: the loop wakes, fires nothing, and the slot is
      recomputed when [advance] traverses it. *)
   slot_min : float array;
+  (* At most every live deadline: lowered by [schedule], recomputed
+     from [slot_min] only by an [advance] that reaches it. *)
+  mutable next : float;
   mutable last : float;
   mutable last_tick : int;
   mutable seq : int;
   mutable pending : int;
-  mutable fired : int;
 }
 
 let create ?(slots = 512) ?(tick = 0.05) ~now () =
@@ -31,17 +33,17 @@ let create ?(slots = 512) ?(tick = 0.05) ~now () =
     nslots = slots;
     slots = Array.make slots [];
     slot_min = Array.make slots infinity;
+    next = infinity;
     last = now;
     last_tick = int_of_float (floor (now /. tick));
     seq = 0;
     pending = 0;
-    fired = 0;
   }
 
 let tick_of w time = int_of_float (floor (time /. w.tick))
 
 let schedule w ~at payload =
-  let e = { deadline = at; seq = w.seq; payload; cancelled = false } in
+  let e = { deadline = at; seq = w.seq; payload; armed = true } in
   w.seq <- w.seq + 1;
   (* Overdue deadlines clamp to the cursor slot so the next [advance]
      always traverses them: slots strictly behind the cursor wait a
@@ -50,26 +52,20 @@ let schedule w ~at payload =
   let idx = tk mod w.nslots in
   w.slots.(idx) <- e :: w.slots.(idx);
   if at < w.slot_min.(idx) then w.slot_min.(idx) <- at;
+  if w.pending = 0 || at < w.next then w.next <- at;
   w.pending <- w.pending + 1;
   e
 
 let cancel w e =
-  if not e.cancelled then begin
-    e.cancelled <- true;
+  if e.armed then begin
+    e.armed <- false;
     w.pending <- w.pending - 1
   end
 
 let reschedule w e ~at = cancel w e; schedule w ~at e.payload
 
 let next_deadline w =
-  if w.pending = 0 then None
-  else begin
-    let m = ref infinity in
-    for i = 0 to w.nslots - 1 do
-      if w.slot_min.(i) < !m then m := w.slot_min.(i)
-    done;
-    if Float.is_finite !m then Some !m else None
-  end
+  if w.pending = 0 || not (Float.is_finite w.next) then None else Some w.next
 
 let advance w ~now =
   if now < w.last then []
@@ -79,11 +75,11 @@ let advance w ~now =
       let kept = ref [] and m = ref infinity in
       List.iter
         (fun e ->
-          if e.cancelled then () (* purge *)
+          if not e.armed then () (* purge *)
           else if e.deadline <= now then begin
+            e.armed <- false;
             fired := e :: !fired;
-            w.pending <- w.pending - 1;
-            w.fired <- w.fired + 1
+            w.pending <- w.pending - 1
           end
           else begin
             kept := e :: !kept;
@@ -102,6 +98,8 @@ let advance w ~now =
       for tk = w.last_tick to now_tick do process (tk mod w.nslots) done;
     w.last <- now;
     w.last_tick <- now_tick;
+    if w.next <= now then
+      w.next <- Array.fold_left Float.min infinity w.slot_min;
     !fired
     |> List.sort (fun a b ->
            match compare a.deadline b.deadline with
@@ -111,6 +109,3 @@ let advance w ~now =
   end
 
 let pending w = w.pending
-let fired_total w = w.fired
-let deadline_of e = e.deadline
-let cancelled e = e.cancelled

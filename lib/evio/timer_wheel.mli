@@ -34,7 +34,8 @@ val schedule : 'a t -> at:float -> 'a -> 'a timer
     the wheel's cursor fire on the next {!advance}. *)
 
 val cancel : 'a t -> 'a timer -> unit
-(** Disarm; idempotent.  A cancelled timer never fires. *)
+(** Disarm; idempotent, and a no-op on a timer that already fired.  A
+    cancelled timer never fires. *)
 
 val reschedule : 'a t -> 'a timer -> at:float -> 'a timer
 (** [cancel] + [schedule] with the same payload; returns the new
@@ -42,9 +43,10 @@ val reschedule : 'a t -> 'a timer -> at:float -> 'a timer
 
 val next_deadline : 'a t -> float option
 (** Earliest armed deadline — what the event loop's wait timeout should
-    be derived from.  [None] when nothing is armed (the loop may block
-    indefinitely on IO).  May report early (never late) right after a
-    cancellation, until the affected slot is next traversed. *)
+    be derived from — in O(1).  [None] when nothing is armed (the loop
+    may block indefinitely on IO).  May report early (never late) after
+    a cancellation or a fire, until an [advance] reaches the reported
+    deadline. *)
 
 val advance : 'a t -> now:float -> 'a list
 (** Move the cursor to [now] and return the payloads of every timer
@@ -53,10 +55,3 @@ val advance : 'a t -> now:float -> 'a list
 
 val pending : 'a t -> int
 (** Armed (scheduled, not yet fired or cancelled) timers. *)
-
-val fired_total : 'a t -> int
-(** Total timers ever fired — the loop's timer-fire observability
-    counter. *)
-
-val deadline_of : 'a timer -> float
-val cancelled : 'a timer -> bool

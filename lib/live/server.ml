@@ -143,7 +143,7 @@ type conn = {
   key : int;
   peer : string;  (* peer address (no port): the guard's ledger key *)
   mutable inbuf : string;
-  readbuf : Bytes.t;  (* per-connection scratch, reused across reads *)
+  scratch : Bytes.t;  (* the serving loop's or worker's read scratch *)
   outq : Sendq.t;
   mutable state : conn_state;
   mutable close_after_flush : bool;
@@ -152,7 +152,7 @@ type conn = {
   mutable alive : bool;
   accepted_at : float;
   mutable reqs_served : int;  (* finished traces on this connection *)
-  track : string;  (* trace track of whoever serves this connection *)
+  track : string;  (* trace track of the loop or worker serving it *)
   (* Readiness interest last pushed to the evio backend (event-loop
      modes); [sync_conn] diffs against these so unchanged fds cost
      nothing. *)
@@ -267,30 +267,31 @@ type t = {
      MP the slab is shared, which is the paper's §4.2 "information
      gathering" done without IPC. *)
   tally : Tally.t;
-  (* MP mode with tracing: children ship finished traces to the parent
-     as framed records on this pipe. *)
-  trace_pipe_read : Unix.file_descr option;
-  trace_pipe_write : Unix.file_descr option;
-  trace_acc : Buffer.t;  (* a partial frame between reads *)
+  (* MP mode with tracing: every child's finished traces, one shared row
+     per child, read the way the tally is. *)
+  trace_ring : Trace_ring.t option;
   (* MT mode: threads share the cache; systhreads interleave at
      allocation points, so cache access is serialized. *)
   cache_mutex : Mutex.t;
-  (* Guards the observability state (the tally row, the tracer, the
-     trace pipe's reads) where several threads touch it: MT workers,
-     the MP parent loop vs snapshot callers. *)
+  (* Guards the observability state (the tally row, the tracer) where
+     several threads touch it: MT workers, the loop vs snapshot
+     callers. *)
   obs_mutex : Mutex.t;
   watchdog : Obs.Watchdog.t;  (* event-loop iteration stalls *)
   (* Request-lifecycle tracing (None with --no-trace): guarded by
-     [obs_mutex] wherever several threads can touch it (MT workers, MP
-     parent consolidation vs endpoint renders). *)
+     [obs_mutex] wherever several threads can touch it (MT workers,
+     the loop vs endpoint renders).  An MP child's collector holds only
+     the trace in flight; finished ones go to [trace_ring]. *)
   tracer : Obs.Trace.t option;
   slow_channel : out_channel option;  (* slow-request log sink *)
   started_at : float;
   mutable worker_threads : Thread.t list;
   gather_writes : bool;  (* config.use_writev, gated on stub presence *)
-  (* The pid that created this server.  After an MP fork both sides
-     hold the same record; only the parent may drain the trace pipe. *)
-  owner_pid : int;
+  (* The event loop's trace track and its one read scratch, shared by
+     every connection it serves: each use ends before the call returns.
+     MP children and MT workers make their own in [worker_loop]. *)
+  loop_track : string;
+  loop_scratch : Bytes.t;
   (* The unified metrics registry: every surface (/server-status text
      and JSON, /metrics exposition, programmatic stats) renders from
      one [Registry.collect] walk over these closures. *)
@@ -382,53 +383,6 @@ let update_cache t f =
       r)
 
 (* ------------------------------------------------------------------ *)
-(* The trace pipe (MP with tracing)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One frame per finished trace: tag 'T', a u16 LE payload length, then
-   an [Obs.Trace.to_binary] record — at most PIPE_BUF bytes, so frames
-   from different children never interleave.  Runs under the obs
-   mutex. *)
-let consume_traces t bytes len =
-  Buffer.add_subbytes t.trace_acc bytes 0 len;
-  let s = Buffer.contents t.trace_acc in
-  let n = String.length s in
-  let rec loop pos =
-    if pos + 3 > n then pos
-    else if s.[pos] <> 'T' then loop (pos + 1) (* resynchronise *)
-    else
-      let plen = Char.code s.[pos + 1] lor (Char.code s.[pos + 2] lsl 8) in
-      if pos + 3 + plen > n then pos
-      else begin
-        (match (Obs.Trace.of_binary s ~pos:(pos + 3), t.tracer) with
-        | Some (data, _), Some tracer -> Obs.Trace.ingest tracer data
-        | _ -> ());
-        loop (pos + 3 + plen)
-      end
-  in
-  let pos = loop 0 in
-  Buffer.clear t.trace_acc;
-  Buffer.add_substring t.trace_acc s pos (n - pos)
-
-(* Read every frame the children have written so far.  Only the MP
-   parent may drain: a forked child inherits the read end, and reading
-   there would steal frames from the parent's ring. *)
-let drain_trace_pipe t =
-  match t.trace_pipe_read with
-  | Some r when Unix.getpid () = t.owner_pid ->
-      let buf = Bytes.create 4095 in
-      let rec loop () =
-        match Unix.read r buf 0 4095 with
-        | n when n > 0 ->
-            consume_traces t buf n;
-            loop ()
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      with_obs_lock t loop
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,27 +434,13 @@ let recorder_read t () =
 (* ------------------------------------------------------------------ *)
 
 (* All tracer mutations run under the obs mutex: MT workers share the
-   collector, and in MP the parent's consolidation thread ingests child
-   traces while the endpoint renders.  [f] must not re-enter a locking
-   helper (the mutex is not reentrant). *)
+   collector, and the endpoint renders it from whichever thread serves
+   the request.  [f] must not re-enter a locking helper (the mutex is
+   not reentrant). *)
 let with_tracer t f =
   match t.tracer with
   | None -> ()
   | Some tracer -> with_obs_lock t (fun () -> f tracer)
-
-(* The track a span is attributed to: the Perfetto row it renders on.
-   Event-loop modes do request work on the main loop; MP children and MT
-   workers each get their own row.  One connection is served by one
-   loop, process or thread, so it is computed once per connection. *)
-let current_track t =
-  match t.config.mode with
-  | Amped | Sped -> "main-loop"
-  | Mp _ -> Printf.sprintf "mp-child-%d" (Unix.getpid ())
-  | Mt _ -> Printf.sprintf "mt-worker-%d" (Thread.id (Thread.self ()))
-  | Sharded _ -> (
-      match t.role with
-      | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
-      | Standalone | Shard_coordinator _ -> "main-loop")
 
 (* Open the trace for the next request on this connection as soon as its
    first bytes arrive: the parse span starts here.  The first request's
@@ -559,27 +499,9 @@ let log_slow t (data : Obs.Trace.trace_data) =
         | None -> prerr_endline line
       end
 
-(* MP children ship each finished trace to the parent as one frame on
-   the trace pipe.  Oversized traces (past PIPE_BUF atomicity) are
-   dropped rather than risk interleaving. *)
-let ship_trace t data =
-  match t.trace_pipe_write with
-  | None -> ()
-  | Some w ->
-      let payload = Obs.Trace.to_binary data in
-      let plen = String.length payload in
-      if plen <= 4000 then begin
-        let b = Bytes.create (3 + plen) in
-        Bytes.set b 0 'T';
-        Bytes.set b 1 (Char.chr (plen land 0xff));
-        Bytes.set b 2 (Char.chr ((plen lsr 8) land 0xff));
-        Bytes.blit_string payload 0 b 3 plen;
-        try ignore (Unix.write w b 0 (3 + plen)) with Unix.Unix_error _ -> ()
-      end
-
 (* Close the in-flight request's trace: response bytes are out (or the
-   connection died).  Pushes it into the ring and, past the threshold,
-   into the slow-request log; an MP child also ships it to the parent. *)
+   connection died).  Pushes it into the ring (an MP child's: its row of
+   the shared one) and, past the threshold, into the slow-request log. *)
 let finish_request_trace ?(closing = false) t conn =
   match t.tracer with
   | None -> ()
@@ -602,7 +524,7 @@ let finish_request_trace ?(closing = false) t conn =
           conn.write_span <- None;
           conn.reqs_served <- conn.reqs_served + 1;
           log_slow t data;
-          ship_trace t data)
+          Option.iter (fun ring -> Trace_ring.push ring data) t.trace_ring)
 
 let log_access ?conn ?path t ~meth ~target ~status ~bytes =
   match t.log_channel with
@@ -721,11 +643,6 @@ let is_metrics_request t (req : Http.Request.t) =
   | None -> false
   | Some mp -> String.equal req.Http.Request.path mp
 
-let trace_body t =
-  match t.tracer with
-  | None -> {|{"traceEvents":[]}|}
-  | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.to_chrome_json tracer)
-
 (* ------------------------------------------------------------------ *)
 (* Views: one registry walk feeds every surface                        *)
 (* ------------------------------------------------------------------ *)
@@ -739,13 +656,29 @@ let mode_string = function
 
 (* The text page, the JSON view, /metrics exposition and [stats] all
    read the same [collect_for] result, so they cannot drift.  In MP
-   every process renders the whole server's counters (they sum the
-   shared tally's rows); only the trace ring is the parent's alone. *)
+   every process renders the whole server: counters and traces are
+   rows of the shared tally and trace ring. *)
 let shard_peers t =
   match t.role with
   | Standalone -> None
   | Shard_member _ | Shard_coordinator _ ->
       if Array.length t.shards = 0 then None else Some t.shards
+
+(* Every finished trace the server holds: the MP children's shared rows,
+   every shard's ring (each read under its own shard's obs mutex), or
+   this instance's ring. *)
+let trace_snapshot t =
+  let own t =
+    match t.tracer with
+    | None -> []
+    | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.snapshot tracer)
+  in
+  match (t.trace_ring, shard_peers t) with
+  | Some ring, _ -> Trace_ring.snapshot ring
+  | None, Some shards -> List.concat_map own (Array.to_list shards)
+  | None, None -> own t
+
+let trace_body t = Obs.Trace.to_chrome_json (trace_snapshot t)
 
 (* Gauges that are not additive across shards: aggregate with max. *)
 let gauge_max_name = function
@@ -766,7 +699,6 @@ let gauge_max_name = function
 let collect_for t =
   match shard_peers t with
   | None ->
-      drain_trace_pipe t;
       let samples = Obs.Registry.collect t.registry in
       (samples, samples)
   | Some shards ->
@@ -957,13 +889,19 @@ let register_metrics t =
   (match t.tracer with
   | None -> ()
   | Some tracer ->
+      let ring f g =
+        match t.trace_ring with
+        | Some ring -> fun () -> f ring
+        | None -> locked (fun () -> g tracer)
+      in
       c ~name:"flash_traces_completed_total" ~help:"Request traces completed."
-        (locked (fun () -> Obs.Trace.completed tracer));
+        (ring Trace_ring.completed Obs.Trace.completed);
       c ~name:"flash_traces_evicted_total"
         ~help:"Traces evicted from the ring."
-        (locked (fun () -> Obs.Trace.evicted tracer));
+        (ring Trace_ring.evicted Obs.Trace.evicted);
       g ~name:"flash_trace_ring_capacity" ~help:"Completed-trace ring size."
-        (fun () -> float_of_int (Obs.Trace.capacity tracer)));
+        (fun () ->
+          float_of_int (ring Trace_ring.capacity Obs.Trace.capacity ())));
   (match t.guard with
   | None -> ()
   | Some guard ->
@@ -1222,15 +1160,14 @@ let enqueue_endpoint t conn ~keep ~head_only (body, content_type) =
 (* Serving files                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let read_whole fd size =
-  let buf = Bytes.create size in
+(* Up to [len] bytes of [fd] into [buf]: short only at end of file. *)
+let read_into fd buf len =
   let rec loop off =
-    if off >= size then Bytes.unsafe_to_string buf
-    else begin
-      match Unix.read fd buf off (size - off) with
-      | 0 -> Bytes.sub_string buf 0 off
+    if off >= len then off
+    else
+      match Unix.read fd buf off (len - off) with
+      | 0 -> off
       | n -> loop (off + n)
-    end
   in
   loop 0
 
@@ -1736,16 +1673,19 @@ let close_conn t conn =
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
 
-(* The head-request buffer: reads land in the connection's reusable
-   scratch and append to [inbuf].  The cap bounds parse-buffer growth
+(* The head-request buffer: reads land in the serving context's scratch
+   and append to [inbuf].  The cap bounds parse-buffer growth
    against a client streaming junk or very deep pipelines. *)
 let max_inbuf = 262144
 
-(* [n] fresh bytes sit at the front of [readbuf]. *)
+(* One read scratch per serving context, never per connection. *)
+let scratch_size = 65536
+
+(* [n] fresh bytes sit at the front of [scratch]. *)
 let on_input t conn n =
   conn.last_active <- t.config.clock ();
   conn.recv_bytes <- conn.recv_bytes + n;
-  conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.readbuf 0 n;
+  conn.inbuf <- conn.inbuf ^ Bytes.sub_string conn.scratch 0 n;
   if String.length conn.inbuf > max_inbuf then close_conn t conn
   else try_parse t conn
 
@@ -1764,9 +1704,9 @@ let request_timeout t conn =
    write advances slice offsets in place; on a nonblocking socket the
    rest waits for the next writability event, on a blocking one the
    loop simply calls again.  With the copying fallback the same
-   gather is staged through the connection's read scratch (free between
-   reads) and written with one scalar [write] — the measured difference
-   between the two paths. *)
+   gather is staged through the read scratch (free between reads) and
+   written with one scalar [write] — the measured difference between
+   the two paths.  Streamed file chunks are staged there too. *)
 let handle_writable t conn =
   conn.last_active <- t.config.clock ();
   let progress = ref true in
@@ -1784,7 +1724,7 @@ let handle_writable t conn =
              end
              else begin
                let n, copied =
-                 Iovec.writev_copy ~scratch:conn.readbuf conn.fd slices
+                 Iovec.writev_copy ~scratch:conn.scratch conn.fd slices
                in
                count_send t ~writev:0 ~writes:1 ~copied ~sent:n;
                (n, n < copied)
@@ -1794,19 +1734,19 @@ let handle_writable t conn =
            conn.sent_bytes <- conn.sent_bytes + written;
            if partial then progress := false
        | Some (Sendq.File f) ->
-           let chunk = min 65536 f.remaining in
-           let data = read_whole f.src chunk in
-           let n = Unix.write_substring conn.fd data 0 (String.length data) in
-           count_send t ~writev:0 ~writes:1 ~copied:(String.length data) ~sent:n;
+           let chunk = min (Bytes.length conn.scratch) f.remaining in
+           let got = read_into f.src conn.scratch chunk in
+           let n = Unix.write conn.fd conn.scratch 0 got in
+           count_send t ~writev:0 ~writes:1 ~copied:got ~sent:n;
            conn.sent_bytes <- conn.sent_bytes + n;
            (* A short write drops the tail of this chunk; re-read it via
               the file offset by seeking back. *)
-           if n < String.length data then begin
-             ignore (Unix.lseek f.src (n - String.length data) Unix.SEEK_CUR);
+           if n < got then begin
+             ignore (Unix.lseek f.src (n - got) Unix.SEEK_CUR);
              progress := false
            end;
            f.remaining <- f.remaining - n;
-           if f.remaining <= 0 || String.length data < chunk then begin
+           if f.remaining <= 0 || got < chunk then begin
              Unix.close f.src;
              Sendq.pop conn.outq
            end
@@ -1838,12 +1778,14 @@ let end_cgi ?(kill = false) t conn fd pid =
   commit t conn ~code:200 ~keep:false;
   if Sendq.is_empty conn.outq then close_conn t conn
 
-(* Move whatever the script has written into the send queue. *)
+(* Copy whatever the script has written into the send queue. *)
 let pump_cgi t conn fd pid =
-  let buf = Bytes.create 16384 in
-  match Unix.read fd buf 0 16384 with
+  match Unix.read fd conn.scratch 0 (Bytes.length conn.scratch) with
   | 0 -> end_cgi t conn fd pid
-  | n -> enqueue_string t conn (Bytes.sub_string buf 0 n)
+  | n ->
+      let buf = Iovec.of_bytes conn.scratch ~len:n in
+      Sendq.push_slice conn.outq (Iovec.slice buf);
+      count_send t ~writev:0 ~writes:0 ~copied:n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> end_cgi t conn fd pid
 
@@ -1943,7 +1885,7 @@ let sync_conn t conn =
   end
 
 let handle_readable t conn =
-  match Unix.read conn.fd conn.readbuf 0 (Bytes.length conn.readbuf) with
+  match Unix.read conn.fd conn.scratch 0 (Bytes.length conn.scratch) with
   | 0 -> close_conn t conn
   | n -> on_input t conn n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -2093,8 +2035,9 @@ let refuse_fd t fd reason =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Admit an accepted fd past the guard and build its connection record
-   — both loops' first step.  [None]: refused at the door. *)
-let open_conn t fd ~key =
+   — both loops' first step — on the serving context's [track] and
+   [scratch].  [None]: refused at the door. *)
+let open_conn t fd ~key ~track ~scratch =
   let peer = peer_of_fd fd in
   match
     match t.guard with
@@ -2114,7 +2057,7 @@ let open_conn t fd ~key =
           key;
           peer;
           inbuf = "";
-          readbuf = Bytes.create 65536;
+          scratch;
           outq = Sendq.create ();
           state = Reading;
           close_after_flush = false;
@@ -2123,7 +2066,7 @@ let open_conn t fd ~key =
           alive = true;
           accepted_at = now;
           reqs_served = 0;
-          track = current_track t;
+          track;
           want_read = false;
           want_write = false;
           registered = false;
@@ -2150,7 +2093,8 @@ let open_conn t fd ~key =
 let adopt_fd t fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  match open_conn t fd ~key:t.next_key with
+  let track = t.loop_track and scratch = t.loop_scratch in
+  match open_conn t fd ~key:t.next_key ~track ~scratch with
   | None -> true
   | Some conn -> (
       t.next_key <- t.next_key + 1;
@@ -2437,8 +2381,7 @@ let dispatch_event t (ev : Evio.event) =
   | None -> ()  (* closed while an earlier event in this batch ran *)
   | Some O_listen -> if ev.Evio.readable then accept_all t
   | Some O_wake -> (
-      let buf = Bytes.create 64 in
-      (try ignore (Unix.read t.wake_read buf 0 64)
+      (try ignore (Unix.read t.wake_read t.loop_scratch 0 64)
        with Unix.Unix_error _ -> ());
       (* Hand-off shards are woken by the acceptor: drain the ring.  A
          poke names no particular fd, so whoever wakes first adopts
@@ -2560,9 +2503,9 @@ let run_loop t =
    modes' own path ([try_parse] → [process_request] → the send queue);
    only the waiting differs: flush the queue until it is empty, pump a
    CGI pipe under its deadline, else read the next request bytes. *)
-let serve_blocking t fd =
+let serve_blocking t fd ~track ~scratch =
   Unix.clear_nonblock fd;
-  match open_conn t fd ~key:0 with
+  match open_conn t fd ~key:0 ~track ~scratch with
   | None -> ()
   | Some conn ->
       (* The guard's header deadline becomes a receive timeout, checked
@@ -2593,8 +2536,7 @@ let serve_blocking t fd =
                 | exception Unix.Unix_error _ ->
                     end_cgi ~kill:true t conn pfd pid)
           | Reading | Waiting_helper _ -> (
-              let cap = Bytes.length conn.readbuf in
-              match Unix.read fd conn.readbuf 0 cap with
+              match Unix.read fd scratch 0 (Bytes.length scratch) with
               | 0 -> close_conn t conn
               | n -> on_input t conn n
               | exception
@@ -2614,8 +2556,15 @@ let serve_blocking t fd =
    backend gives the blocking architectures the same EMFILE shedding
    and the same clean wakeup-on-stop (the wake pipe is registered but
    never drained — stop is terminal, so level-triggered readiness
-   rouses every parked worker at once). *)
+   rouses every parked worker at once).  Each child or worker names its
+   trace track and allocates its read scratch once, here. *)
 let worker_loop t =
+  let track =
+    match t.config.mode with
+    | Mp _ -> Printf.sprintf "mp-child-%d" (Unix.getpid ())
+    | _ -> Printf.sprintf "mt-worker-%d" (Thread.id (Thread.self ()))
+  in
+  let scratch = Bytes.create scratch_size in
   let ev = Evio.Backend.create t.config.event_backend in
   let wheel = Evio.Timer_wheel.create ~now:(t.config.clock ()) () in
   let paused = ref false in
@@ -2641,7 +2590,7 @@ let worker_loop t =
       match Unix.accept t.listen_fd with
       | fd, _ ->
           backoff := accept_backoff_initial;
-          serve_blocking t fd
+          serve_blocking t fd ~track ~scratch
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
       | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
@@ -2727,21 +2676,20 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
      fd is nonblocking everywhere (a connection that vanishes between
      readiness and accept must yield EAGAIN, not a hang). *)
   Unix.set_nonblock listen_fd;
-  (* The tally and the trace pipe exist before [t]: closures created
+  (* The tally and the trace ring exist before [t]: closures created
      below capture the final record, so no [{ t with ... }] copy may
-     follow.  MP maps one shared tally row per child before forking. *)
+     follow.  MP maps one shared row of each per child before forking. *)
   let tally =
     match config.mode with
     | Mp n -> Tally.create ~shared:true ~rows:(max 1 n) ()
     | Amped | Sped | Mt _ | Sharded _ -> Tally.create ~rows:1 ()
   in
-  let trace_pipe_read, trace_pipe_write =
+  let trace_ring =
     match config.mode with
-    | Mp _ when config.trace ->
-        let r, w = Unix.pipe () in
-        Unix.set_nonblock r;
-        (Some r, Some w)
-    | _ -> (None, None)
+    | Mp n when config.trace ->
+        let capacity = max 1 config.trace_capacity in
+        Some (Trace_ring.create ~rows:(max 1 n) ~capacity)
+    | _ -> None
   in
   let budget =
     match (shared_budget, role) with
@@ -2836,12 +2784,9 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
           config.access_log;
       tally;
-      trace_pipe_read;
-      trace_pipe_write;
-      trace_acc = Buffer.create 64;
+      trace_ring;
       cache_mutex;
       obs_mutex = Mutex.create ();
-      owner_pid = Unix.getpid ();
       registry = Obs.Registry.create ();
       recorder = None;
       recorder_mutex = Mutex.create ();
@@ -2850,6 +2795,11 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
           config.latency_slo;
       gather_writes = config.use_writev && Iovec.have_writev;
+      loop_track =
+        (match role with
+        | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
+        | Standalone | Shard_coordinator _ -> "main-loop");
+      loop_scratch = Bytes.create scratch_size;
       watchdog =
         Obs.Watchdog.create ~clock:config.clock
           ~threshold:config.stall_threshold ();
@@ -2857,7 +2807,11 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         (if config.trace then
            Some
              (Obs.Trace.create ~clock:config.clock
-                ~capacity:(max 1 config.trace_capacity) ())
+                ~capacity:
+                  (if Option.is_none trace_ring then
+                     max 1 config.trace_capacity
+                   else 1)
+                ())
          else None);
       slow_channel =
         Option.map
@@ -2906,9 +2860,10 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
         List.init (max 1 n) (fun i ->
             match Unix.fork () with
             | 0 ->
-                (* Child: counts into its own tally row; blocking accept
-                   loop; never returns. *)
+                (* Child: counts and traces into its own rows; blocking
+                   accept loop; never returns. *)
                 Tally.claim t.tally i;
+                Option.iter (fun ring -> Trace_ring.claim ring i) t.trace_ring;
                 (try worker_loop t with _ -> ());
                 Stdlib.exit 0
             | pid -> pid)
@@ -3020,16 +2975,11 @@ let sharding_info t =
   | None -> None
   | Some shards -> Some (Array.length shards, t.accept_strategy)
 
-(* The MP parent's and the MT main thread's only job: collect MP
-   children's traces (workers count into the tally themselves).  It is
-   no event loop — its wakeups are not loop statistics — and sleeps in
-   its backend for at most one recorder interval: the trace pipe or the
-   wake pipe interrupts it sooner; the timeout closes flight-recorder
-   windows on an idle server. *)
+(* The MP parent and the MT main thread serve nothing: workers count
+   and trace into shared state.  No event loop (its wakeups are not loop
+   statistics), it sleeps a recorder interval at a time, closing windows
+   on an idle server, until the wake pipe signals [stop]. *)
 let park_loop t =
-  (match t.trace_pipe_read with
-  | Some r -> Evio.Backend.register t.evio r ~read:true ~write:false
-  | None -> ());
   Evio.Backend.register t.evio t.wake_read ~read:true ~write:false;
   let timeout =
     match t.recorder with
@@ -3037,12 +2987,8 @@ let park_loop t =
     | None -> None
   in
   while not t.stopped do
-    (* The wake pipe only ever signals [stop], and is left undrained:
-       MT workers park on it too. *)
-    List.iter
-      (fun (e : Evio.event) ->
-        if e.Evio.fd <> t.wake_read && e.Evio.readable then drain_trace_pipe t)
-      (Evio.Backend.wait t.evio ~timeout);
+    (* The wake pipe is left undrained: MT workers park on it too. *)
+    ignore (Evio.Backend.wait t.evio ~timeout);
     tick_recorder t
   done
 
@@ -3087,9 +3033,6 @@ let teardown t =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.log_channel with Some oc -> close_out_noerr oc | None -> ());
   (match t.slow_channel with Some oc -> close_out_noerr oc | None -> ());
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (Option.to_list t.trace_pipe_read @ Option.to_list t.trace_pipe_write);
   (try Unix.close t.wake_read with Unix.Unix_error _ -> ());
   try Unix.close t.wake_write with Unix.Unix_error _ -> ()
 
@@ -3157,15 +3100,6 @@ let latency t =
 let helper_job_latency t = Option.map Helper.job_latency t.helper
 
 let tracing_enabled t = t.tracer <> None
-
-(* Drain the trace pipe first so an MP parent's view includes traces
-   the children have shipped but the parent loop has not yet
-   consumed. *)
-let trace_snapshot t =
-  drain_trace_pipe t;
-  match t.tracer with
-  | None -> []
-  | Some tracer -> with_obs_lock t (fun () -> Obs.Trace.snapshot tracer)
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
    ring. *)

@@ -88,9 +88,9 @@
     under SPED, to the worker's own track under MP/MT — response write,
     and close.  Completed traces land in a bounded ring served as
     Chrome trace-event JSON by [GET /server-trace] (Perfetto-loadable,
-    one track per process/helper).  MP children ship finished traces to
-    the parent as compact binary frames on a trace pipe (opened only
-    with tracing on), so the parent's ring covers all children.
+    one track per process/helper).  MP children keep theirs in a
+    {!Trace_ring} row each and a sharded server in each shard's ring;
+    the endpoint renders every row or shard, whoever serves it.
     Requests slower than [slow_request_ms] are additionally appended to
     a slow-request log as a one-line span breakdown. *)
 
@@ -142,7 +142,7 @@ type config = {
           simulating slow media.  Tests use it to prove where each
           architecture blocks. *)
   trace : bool;  (** record request-lifecycle traces (default on) *)
-  trace_capacity : int;  (** completed-trace ring size (default 256) *)
+  trace_capacity : int;  (** trace ring size, per MP child (default 256) *)
   trace_path : string option;
       (** Chrome trace-event endpoint (default ["/server-trace"]);
           [None] disables it.  With [trace = false] the path is not
@@ -295,8 +295,8 @@ val helper_job_latency : t -> Obs.Histogram.t option
 
 val tracing_enabled : t -> bool
 
-(** Completed traces in the ring, oldest first.  On the MP parent this
-    covers every child (the trace pipe is drained first). *)
+(** Completed traces, oldest first within each ring: every MP child's
+    row of the shared ring, or every shard's ring, in any process. *)
 val trace_snapshot : t -> Obs.Trace.trace_data list
 
 (** One walk over the unified metrics registry, rendered as Prometheus

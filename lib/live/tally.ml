@@ -38,20 +38,20 @@ let n_buckets = 256
    one. *)
 let width = (h_buckets + n_buckets + 7) / 8 * 8
 
+let map_shared n =
+  let path = Filename.temp_file "flash-shared" ".slab" in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  Sys.remove path;
+  (* Growing the empty file to the mapping's size zero-fills it. *)
+  let a = Unix.map_file fd int64 c_layout true [| n |] in
+  Unix.close fd;
+  array1_of_genarray a
+
 let create ?(shared = false) ~rows () =
   let rows = max 1 rows in
   let n = rows * width in
   let slab =
-    if shared then begin
-      let path = Filename.temp_file "flash-tally" ".slab" in
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-      Sys.remove path;
-      (* Growing the empty file to the mapping's size zero-fills it. *)
-      let a = Unix.map_file fd int64 c_layout true [| n |] in
-      Unix.close fd;
-      array1_of_genarray a
-    end
-    else Array1.init int64 c_layout n (fun _ -> 0L)
+    if shared then map_shared n else Array1.init int64 c_layout n (fun _ -> 0L)
   in
   { slab; rows; row = 0 }
 

@@ -35,10 +35,14 @@ val active : field
 
 val mapped : field
 
+(** [map_shared n]: [n] zeroed words in a [MAP_SHARED] mapping of an
+    unlinked temporary file, shared by processes forked afterwards. *)
+val map_shared :
+  int -> (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (** [create ~rows ()] is a zeroed slab of [rows] rows whose writer owns
-    row 0.  With [~shared:true] it lives in a [MAP_SHARED] mapping of an
-    already unlinked temporary file, so processes forked afterwards
-    share it. *)
+    row 0.  With [~shared:true] it lives in {!map_shared} memory, so
+    processes forked afterwards share it. *)
 val create : ?shared:bool -> rows:int -> unit -> t
 
 (** [claim t i]: this writer owns row [i] from now on.

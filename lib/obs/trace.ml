@@ -66,7 +66,6 @@ let create ~clock ?(capacity = 256) ?(max_spans = 64) ?(track = "main-loop")
 
 let capacity t = t.cap
 let max_spans t = t.span_cap
-let default_track t = t.track
 let now t = t.clock ()
 
 let start t ?at ?(label = "request") () =
@@ -210,11 +209,6 @@ let finish t ?at tr =
     data
   end
 
-let ingest t data =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  push t { data with id }
-
 let completed t = t.n_completed
 let evicted t = Stdlib.max 0 (t.n_completed - t.cap)
 
@@ -238,8 +232,7 @@ let reset t =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_chrome_json t =
-  let traces = snapshot t in
+let to_chrome_json traces =
   let base =
     List.fold_left (fun acc tr -> Float.min acc tr.t_begin) Float.infinity traces
   in

@@ -16,9 +16,8 @@
     traces both.  Spans opened with {!begin_span}/{!end_span} follow
     stack discipline per trace and are therefore always well-nested;
     {!add_span} splices in a completed span measured elsewhere — the
-    seam used to stitch helper- and child-process work (carried over the
-    completion/stats pipes as {!to_binary} records) into the trace of
-    the request that caused it.
+    seam used to stitch helper work (carried over the completion pipe)
+    into the trace of the request that caused it.
 
     Like the rest of [Obs], a collector is not thread-safe; callers
     serialise access (the live server guards it with its obs mutex). *)
@@ -66,7 +65,6 @@ val create :
 
 val capacity : t -> int
 val max_spans : t -> int
-val default_track : t -> string
 val now : t -> float
 
 (** [start t ?at ?label ()] opens a trace beginning at [at] (default
@@ -103,11 +101,7 @@ val instant : t -> trace -> ?track:string -> string -> unit
     and its data is returned. *)
 val finish : t -> ?at:float -> trace -> trace_data
 
-(** Push an externally assembled trace (e.g. decoded from another
-    process) into the ring under a fresh id. *)
-val ingest : t -> trace_data -> unit
-
-(** Traces finished or ingested so far. *)
+(** Traces finished so far. *)
 val completed : t -> int
 
 (** Traces evicted from the ring. *)
@@ -120,12 +114,12 @@ val reset : t -> unit
 
 (** {2 Export} *)
 
-(** The ring as a Chrome trace-event JSON document
-    ([{"traceEvents":[...]}]): one complete ("ph":"X") event per span,
-    timestamps in microseconds relative to the earliest trace, plus
-    process-name metadata so each distinct track renders as its own
-    Perfetto track. *)
-val to_chrome_json : t -> string
+(** Traces (a {!snapshot}, or several rings' together) as a Chrome
+    trace-event JSON document ([{"traceEvents":[...]}]): one complete
+    ("ph":"X") event per span, timestamps in microseconds relative to
+    the earliest trace, plus process-name metadata so each distinct
+    track renders as its own Perfetto track. *)
+val to_chrome_json : trace_data list -> string
 
 (** One-line span breakdown, for the slow-request log: label, total
     duration, then each span as [name dur@track]. *)
@@ -133,12 +127,11 @@ val summary : trace_data -> string
 
 (** {2 Compact binary records}
 
-    Fixed little-endian encoding of one [trace_data], for carrying span
-    boundaries across process boundaries (the MP stats pipe).  Label,
-    span names and tracks are truncated to 255 bytes, spans to 255; the
-    id is not carried (the receiver's {!ingest} assigns its own).  A
-    typical request encodes in well under PIPE_BUF, so a single [write]
-    is atomic. *)
+    Fixed little-endian encoding of one [trace_data], for carrying a
+    finished trace across process boundaries (the MP children's shared
+    trace ring).  Label, span names and tracks are truncated to 255
+    bytes, spans to 255; the id is not carried (the reader assigns its
+    own).  A typical request encodes in a few hundred bytes. *)
 
 val to_binary : trace_data -> string
 

@@ -116,6 +116,71 @@ let prop_wheel_cancelled_never_fire deadlines =
   List.for_all (fun (i, _) -> i mod 2 = 1) batch
   && List.length batch = List.length (List.filter (fun (i, _) -> i mod 2 = 1) timers)
 
+(* Any interleaving of schedule, cancel and advance, against a model of
+   the live timers: [next_deadline] never passes a live deadline (and is
+   [None] exactly when none is live), and each [advance] fires exactly
+   the live timers that are due — none early, none late. *)
+type wheel_op = Sched of float | Cancel of int | Advance of float
+
+let wheel_ops_arb =
+  let show = function
+    | Sched d -> Printf.sprintf "sched %g" d
+    | Cancel i -> Printf.sprintf "cancel %d" i
+    | Advance d -> Printf.sprintf "advance %g" d
+  in
+  QCheck.(
+    list_of_size Gen.(int_range 1 60)
+      (set_print show
+         (oneof
+            [
+              map (fun d -> Sched d) (float_bound_inclusive 3.0);
+              map (fun i -> Cancel i) (int_bound 60);
+              map (fun d -> Advance d) (float_bound_inclusive 0.5);
+            ])))
+
+let prop_wheel_next_deadline ops =
+  let w = Wheel.create ~slots:16 ~tick:0.02 ~now:0. () in
+  let now = ref 0. in
+  let timers = Hashtbl.create 16 (* id -> handle, in scheduling order *)
+  and live = Hashtbl.create 16 (* id -> deadline *) in
+  let check () =
+    let earliest = Hashtbl.fold (fun _ d m -> Float.min d m) live infinity in
+    match Wheel.next_deadline w with
+    | None -> Hashtbl.length live = 0
+    | Some d -> d <= earliest
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Sched d ->
+          let at = !now +. d -. 0.5 in
+          let id = Hashtbl.length timers in
+          Hashtbl.replace timers id (Wheel.schedule w ~at id);
+          Hashtbl.replace live id at
+      | Cancel id -> (
+          (* Fired and cancelled timers included: cancel stays exact. *)
+          match Hashtbl.find_opt timers id with
+          | Some tm ->
+              Wheel.cancel w tm;
+              Hashtbl.remove live id
+          | None -> ())
+      | Advance d ->
+          now := !now +. d;
+          let fired = List.sort compare (Wheel.advance w ~now:!now) in
+          let due =
+            Hashtbl.fold
+              (fun id at acc -> if at <= !now then id :: acc else acc)
+              live []
+            |> List.sort compare
+          in
+          if fired <> due then
+            QCheck.Test.fail_reportf "at %f fired [%s], due [%s]" !now
+              (String.concat ";" (List.map string_of_int fired))
+              (String.concat ";" (List.map string_of_int due));
+          List.iter (Hashtbl.remove live) fired);
+      check ())
+    ops
+
 (* ------------------------------------------------------------------ *)
 (* Backends: unit behaviour over every available backend               *)
 (* ------------------------------------------------------------------ *)
@@ -467,6 +532,9 @@ let suite =
     Helpers.qcheck_case ~count:150 ~name:"wheel: cancelled never fire"
       QCheck.(list_of_size Gen.(int_range 0 40) (float_bound_inclusive 2.0))
       prop_wheel_cancelled_never_fire;
+    Helpers.qcheck_case ~count:300
+      ~name:"wheel: next_deadline never late, fires on time" wheel_ops_arb
+      prop_wheel_next_deadline;
     Alcotest.test_case "backends: pipe readiness and interest" `Quick
       test_backend_pipe_readiness;
     Alcotest.test_case "backends: wait timeout" `Quick test_backend_timeout;

@@ -209,6 +209,44 @@ let test_aligned_headers_on_wire () =
       let head_len = find_head 0 in
       Alcotest.(check int) "head length aligned" 0 (head_len mod 32))
 
+(* A connection costs its serving loop no major-heap allocation of its
+   own: reads land in one scratch per loop or worker, so 300 one-request
+   HTTP/1.0 connections grow the major heap by far less than a 64 KB
+   buffer (8,192 words) each.  The client reuses one buffer too, so the
+   count is the server's. *)
+let test_conn_major_words mode () =
+  with_server ~mode (fun _ port ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      let req = "GET /hello.txt HTTP/1.0\r\n\r\n" in
+      let buf = Bytes.create 4096 in
+      let fetch () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd addr;
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let rec drain got =
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> got
+          | n -> drain (got + n)
+        in
+        let got = drain 0 in
+        Unix.close fd;
+        got
+      in
+      (* Warm the cache and the loop's tables first. *)
+      for _ = 1 to 20 do ignore (fetch ()) done;
+      let conns = 300 in
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      for _ = 1 to conns do
+        if fetch () = 0 then Alcotest.fail "empty response"
+      done;
+      Gc.minor ();
+      let per_conn =
+        ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int conns
+      in
+      if per_conn >= 2048. then
+        Alcotest.failf "major heap grew %.0f words per connection" per_conn)
+
 let suite =
   [
     Alcotest.test_case "AMPED basic GET" `Quick
@@ -230,4 +268,8 @@ let suite =
     Alcotest.test_case "MP mode" `Quick test_mp_mode;
     Alcotest.test_case "32-byte aligned heads on the wire" `Quick
       test_aligned_headers_on_wire;
+    Alcotest.test_case "AMPED connections spare the major heap" `Quick
+      (test_conn_major_words Flash_live.Server.Amped);
+    Alcotest.test_case "MT connections spare the major heap" `Quick
+      (test_conn_major_words (Flash_live.Server.Mt 2));
   ]

@@ -229,6 +229,17 @@ let drive_windows port n =
     if i mod 5 = 0 then Thread.delay 0.06
   done
 
+(* /server-trace renders every shard's ring, whichever shard serves it:
+   the traces of all [n] hello requests, however the accepts spread. *)
+let check_trace_union server port n =
+  let hello (d : Obs.Trace.trace_data) = d.Obs.Trace.label = "GET /hello.txt" in
+  ignore
+    (Test_trace.await_traces server (fun snap ->
+         List.length (List.filter hello snap) >= n));
+  let r = get port "/server-trace" in
+  Alcotest.(check int) "every shard's traces served" n
+    (List.length (Test_trace.parse_spans r.Client.body "GET /hello.txt"))
+
 let check_sharding_block server j ~domains =
   let strategy =
     match Server.sharding_info server with
@@ -270,6 +281,7 @@ let test_sharded_reuseport () =
       Alcotest.(check bool)
         "stats aggregate connections" true
         (stats.Server.connections >= 12);
+      check_trace_union server port 12;
       let j = get_status_json port in
       check_sharding_block server j ~domains:2;
       Alcotest.(check string)
@@ -287,6 +299,7 @@ let test_sharded_handoff () =
       Alcotest.(check bool)
         "handoff served all" true
         (stats.Server.requests >= 12);
+      check_trace_union server port 12;
       let j = get_status_json port in
       check_sharding_block server j ~domains:2)
 

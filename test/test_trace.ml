@@ -2,8 +2,9 @@
    collector (ring buffer, nesting, binary framing, Chrome JSON) plus
    live integration across the four architectures — the disk-read span
    must land on the helper track under AMPED and on the main loop under
-   SPED, MP children must stitch over the stats pipe, and /server-trace
-   must serve parseable Chrome trace-event JSON everywhere. *)
+   SPED, MP children must put theirs in the shared trace ring, and
+   /server-trace must serve parseable Chrome trace-event JSON
+   everywhere. *)
 
 module Server = Flash_live.Server
 module Client = Flash_live.Client
@@ -179,7 +180,7 @@ let test_of_binary_garbage () =
 (* ------------------------------------------------------------------ *)
 
 let chrome_events t =
-  let j = Test_status.parse_json (Trace.to_chrome_json t) in
+  let j = Test_status.parse_json (Trace.to_chrome_json (Trace.snapshot t)) in
   match Test_status.member "traceEvents" j with
   | Test_status.Arr evs -> evs
   | _ -> Alcotest.fail "traceEvents is not an array"
@@ -246,6 +247,83 @@ let test_summary () =
     [ "GET /x"; "parse"; "main-loop"; "ms" ]
 
 (* ------------------------------------------------------------------ *)
+(* The MP trace ring                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Ring = Flash_live.Trace_ring
+
+let ring_trace ?(spans = 1) label =
+  {
+    Trace.id = 0;
+    label;
+    t_begin = 1.0;
+    t_end = 2.0;
+    spans =
+      List.init spans (fun i ->
+          {
+            Trace.name = Printf.sprintf "span-%02d" i;
+            track = "mp-child-1";
+            t_start = 1.0;
+            t_stop = 1.5;
+            depth = 0;
+          });
+    truncated = 0;
+  }
+
+let labels snap = List.map (fun (d : Trace.trace_data) -> d.Trace.label) snap
+
+(* Each row keeps its own newest [capacity] records however many the
+   other rows hold, and the totals count what wrapped. *)
+let test_ring_wraps () =
+  let ring = Ring.create ~rows:2 ~capacity:3 in
+  Ring.claim ring 0;
+  for i = 1 to 7 do
+    Ring.push ring (ring_trace (Printf.sprintf "a%d" i))
+  done;
+  Ring.claim ring 1;
+  Ring.push ring (ring_trace "b1");
+  let snap = Ring.snapshot ring in
+  Alcotest.(check (list string)) "newest per row" [ "a5"; "a6"; "a7"; "b1" ]
+    (List.sort compare (labels snap));
+  Alcotest.(check int) "completed" 8 (Ring.completed ring);
+  Alcotest.(check int) "evicted" 4 (Ring.evicted ring);
+  Alcotest.(check int) "capacity" 6 (Ring.capacity ring);
+  let ids = List.map (fun (d : Trace.trace_data) -> d.Trace.id) snap in
+  Alcotest.(check int) "ids unique" 4
+    (List.length (List.sort_uniq compare ids));
+  let d = List.find (fun (d : Trace.trace_data) -> d.Trace.label = "b1") snap in
+  Alcotest.(check int) "spans intact" 1 (List.length d.Trace.spans)
+
+(* A record past one slot keeps its leading spans, in order, and counts
+   the rest as truncated instead of being dropped. *)
+let test_ring_truncates () =
+  let ring = Ring.create ~rows:1 ~capacity:2 in
+  Ring.push ring (ring_trace ~spans:60 "big");
+  match Ring.snapshot ring with
+  | [ d ] ->
+      let kept = List.length d.Trace.spans in
+      Alcotest.(check bool) "some spans kept" true (kept > 0);
+      Alcotest.(check int) "the rest counted" 60 (kept + d.Trace.truncated);
+      Alcotest.(check bool) "truncated > 0" true (d.Trace.truncated > 0);
+      Alcotest.(check (list string)) "leading spans"
+        (List.init kept (Printf.sprintf "span-%02d"))
+        (List.map (fun (s : Trace.span_data) -> s.Trace.name) d.Trace.spans)
+  | snap -> Alcotest.failf "expected one trace, got %d" (List.length snap)
+
+(* A slot whose two stamps differ is a record being rewritten: skipped,
+   while the row's other records still render. *)
+let test_ring_skips_torn () =
+  let ring = Ring.create ~rows:2 ~capacity:4 in
+  Ring.push ring (ring_trace "a1");
+  Ring.push ring (ring_trace "a2");
+  Ring.claim ring 1;
+  Ring.push ring (ring_trace "b1");
+  Ring.tear ring ~row:0;
+  Alcotest.(check (list string)) "torn slot skipped" [ "a1"; "b1" ]
+    (List.sort compare (labels (Ring.snapshot ring)));
+  Alcotest.(check int) "still counted as completed" 3 (Ring.completed ring)
+
+(* ------------------------------------------------------------------ *)
 (* Live integration                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -261,8 +339,8 @@ let with_mode ?(tweak = fun c -> c) mode f =
 
 let get port path = Client.get ~host:"127.0.0.1" ~port path
 
-(* Traces finish slightly after the response bytes reach the client
-   (and MP children ship theirs over the stats pipe), so poll. *)
+(* Traces finish slightly after the response bytes reach the client, so
+   poll. *)
 let await_traces ?(tries = 80) server pred =
   let rec loop tries =
     let snap = Server.trace_snapshot server in
@@ -282,9 +360,7 @@ let span_on ~name ~track (d : Trace.trace_data) =
 let has_span ~name ~track snap = List.exists (span_on ~name ~track) snap
 
 (* Every mode serves /server-trace as parseable Chrome JSON containing
-   the earlier request.  Both requests ride one keep-alive connection:
-   under MP each child serves its own ring, so the trace request must
-   land on the child that handled the file request. *)
+   the earlier request, asked on the same keep-alive connection. *)
 let test_trace_endpoint mode () =
   with_mode mode (fun server port ->
       let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
@@ -341,8 +417,9 @@ let test_disk_attribution_sped () =
       Alcotest.(check bool) "no helper track" false
         (has_span ~name:"disk-read" ~track:"helper" snap))
 
-(* MP: the child runs the request, serialises the finished trace onto
-   the stats pipe, and the parent's ring shows it on an mp-child track. *)
+(* MP: the child runs the request and stores the finished trace in its
+   row of the shared ring, and the parent's view shows it on an mp-child
+   track. *)
 let test_mp_stitching () =
   with_mode (Server.Mp 2) (fun server port ->
       ignore (get port "/hello.txt");
@@ -359,6 +436,59 @@ let test_mp_stitching () =
       let d = List.find on_child_track snap in
       Alcotest.(check string) "request label crossed the pipe"
         "GET /hello.txt" d.Trace.label)
+
+(* The parse spans of the requests labelled [label] in a /server-trace
+   body, as (trace id, track pid) pairs, one per trace. *)
+let parse_spans body label =
+  let evs =
+    match Test_status.member "traceEvents" (Test_status.parse_json body) with
+    | Test_status.Arr evs -> evs
+    | _ -> Alcotest.fail "traceEvents is not an array"
+  in
+  let arg k e = Test_status.member k (Test_status.member "args" e) in
+  List.filter_map
+    (fun e ->
+      if
+        Test_status.member "ph" e = Test_status.Str "X"
+        && Test_status.to_str (Test_status.member "name" e) = "parse"
+        && Test_status.to_str (arg "label" e) = label
+      then
+        Some
+          ( Test_status.to_int (arg "trace" e),
+            Test_status.to_int (Test_status.member "pid" e) )
+      else None)
+    evs
+  |> List.sort_uniq compare
+
+(* MP serves every child's traces whichever child takes the request.  A
+   keep-alive session pins one child, so the fresh connections go to the
+   other; after N requests, /server-trace over HTTP holds all N on both
+   children's tracks, and /metrics counts N completed. *)
+let test_mp_trace_union () =
+  with_mode (Server.Mp 2) (fun server port ->
+      let n = 12 in
+      let is_hello (d : Trace.trace_data) = d.Trace.label = "GET /hello.txt" in
+      let session = Client.Session.connect ~host:"127.0.0.1" ~port () in
+      ignore (Client.Session.request session "/hello.txt");
+      for _ = 2 to n do
+        Alcotest.(check int) "GET ok" 200 (get port "/hello.txt").Client.status
+      done;
+      ignore
+        (await_traces server (fun snap ->
+             List.length (List.filter is_hello snap) >= n));
+      let families =
+        Test_metrics.validate_families (get port "/metrics").Client.body
+      in
+      let r = get port "/server-trace" in
+      Client.Session.close session;
+      Alcotest.(check (float 0.))
+        "flash_traces_completed_total" (float_of_int n)
+        (Test_metrics.series_value families "flash_traces_completed_total");
+      let parses = parse_spans r.Client.body "GET /hello.txt" in
+      Alcotest.(check int) "every request's trace served" n
+        (List.length parses);
+      Alcotest.(check int) "on both children's tracks" 2
+        (List.length (List.sort_uniq compare (List.map snd parses))))
 
 let test_mt_track () =
   with_mode (Server.Mt 2) (fun server port ->
@@ -532,7 +662,15 @@ let suite =
       test_disk_attribution_sped;
     Alcotest.test_case "MP child traces stitch over the stats pipe" `Quick
       test_mp_stitching;
+    Alcotest.test_case "MP /server-trace holds every child's traces" `Quick
+      test_mp_trace_union;
     Alcotest.test_case "MT spans carry worker tracks" `Quick test_mt_track;
+    Alcotest.test_case "trace ring keeps each row's newest" `Quick
+      test_ring_wraps;
+    Alcotest.test_case "trace ring truncates an oversized record" `Quick
+      test_ring_truncates;
+    Alcotest.test_case "trace ring skips a torn slot" `Quick
+      test_ring_skips_torn;
     Alcotest.test_case "keep-alive reuse marker" `Quick
       test_keepalive_reuse_span;
     Alcotest.test_case "tracing disabled" `Quick test_trace_disabled;
