@@ -185,11 +185,21 @@ and timer_ev =
   | T_idle of conn  (* keep-alive idle-timeout check *)
   | T_cgi of conn  (* CGI wall-clock deadline *)
   | T_resume_accept  (* re-arm the listen fd after EMFILE backoff *)
-  | T_rollup  (* close the flight recorder's current window *)
+  | T_tick  (* close the recorder's window, then the guard sweep *)
   | T_hdr of conn  (* guard: per-request header deadline *)
   | T_xfer of conn  (* guard: minimum-transfer-rate check *)
-  | T_guard_tick  (* guard: SLO shedder + peer-ledger sweep *)
   | T_warm  (* warming: mine, re-pin the hot tier, issue prefetches *)
+
+(* One accepting loop's EMFILE backoff: the backend and wheel its
+   listen interest lives in, whether that interest is parked, and the
+   delay before the next re-arm.  The event loop has one, each MP child
+   and MT worker its own. *)
+type accept_gate = {
+  a_evio : Evio.Backend.t;
+  a_wheel : timer_ev Evio.Timer_wheel.t;
+  mutable paused : bool;
+  mutable backoff : float;
+}
 
 (* Who a ready file descriptor belongs to. *)
 type fd_owner =
@@ -251,9 +261,8 @@ type t = {
   evio : Evio.Backend.t;
   wheel : timer_ev Evio.Timer_wheel.t;
   fd_owners : (Unix.file_descr, fd_owner) Hashtbl.t;
-  loopstat : Obs.Loopstat.t;
-  mutable accept_paused : bool;  (* listen interest parked by backoff *)
-  mutable accept_backoff : float;  (* current backoff delay, seconds *)
+  loopstat : Obs.Loopstat.t;  (* the loop's wait, work and stalls *)
+  accept_gate : accept_gate;  (* on [evio] and [wheel] *)
   conns : (int, conn) Hashtbl.t;
   by_helper_key : (int, conn) Hashtbl.t;
   mutable next_key : int;
@@ -277,7 +286,6 @@ type t = {
      several threads touch it: MT workers, the loop vs snapshot
      callers. *)
   obs_mutex : Mutex.t;
-  watchdog : Obs.Watchdog.t;  (* event-loop iteration stalls *)
   (* Request-lifecycle tracing (None with --no-trace): guarded by
      [obs_mutex] wherever several threads can touch it (MT workers,
      the loop vs endpoint renders).  An MP child's collector holds only
@@ -296,12 +304,11 @@ type t = {
      and JSON, /metrics exposition, programmatic stats) renders from
      one [Registry.collect] walk over these closures. *)
   registry : Obs.Registry.t;
-  (* Flight recorder + SLO evaluator.  The recorder's read closure
-     captures [t], so it is attached right after construction (before
-     MP forks / MT threads, which inherit it).  All recorder access
-     goes through [recorder_mutex]: ticks race between workers, status
-     reads and dumps. *)
-  mutable recorder : Obs.Recorder.t option;
+  (* Flight recorder + SLO evaluator, built before MP forks / MT
+     threads, which inherit it.  All recorder access goes through
+     [recorder_mutex]: ticks race between MT workers, the main thread,
+     status reads and dumps. *)
+  recorder : Obs.Recorder.t;
   recorder_mutex : Mutex.t;
   slo : Obs.Slo.t option;
   (* Sharded mode wiring (Standalone otherwise).  [shards] is the full
@@ -360,71 +367,79 @@ let count t field n = with_obs_lock t (fun () -> Tally.add t.tally field n)
 let total t field = Tally.sum t.tally field
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
+(* This writer's file-cache counters, stored whole into its row (in MP
+   each child has its own cache).  Caller holds the obs lock. *)
+let store_cache_counters t =
+  Tally.set t.tally Tally.cache_hits (File_cache.hits t.cache);
+  Tally.set t.tally Tally.cache_misses (File_cache.misses t.cache);
+  Tally.set t.tally Tally.cache_evictions (File_cache.evictions t.cache)
+
 (* Every response is counted here, in every mode: its status class
    (2xx/3xx/4xx/5xx), whether it is an error (400 and up) and its
-   latency (NaN: not measured). *)
+   latency (NaN: not measured).  The cache lookup that served it is
+   stored with it. *)
 let count_response t ~code ~latency =
   let cls = Stdlib.min 3 (Stdlib.max 0 ((code / 100) - 2)) in
   with_obs_lock t (fun () ->
       Tally.add t.tally (Tally.status_class cls) 1;
       if code >= 400 then Tally.add t.tally Tally.errors 1;
-      if not (Float.is_nan latency) then Tally.record_latency t.tally latency)
+      if not (Float.is_nan latency) then Tally.record_latency t.tally latency;
+      store_cache_counters t)
 
 let latency_now t = with_obs_lock t (fun () -> Tally.latency t.tally)
 
 (* A file-cache operation that may map or unmap bodies (insert, evict,
    invalidate): run it under the cache lock, then store the cache's
-   mapped bytes into this writer's row. *)
+   mapped bytes and counters into this writer's row. *)
 let update_cache t f =
   with_cache_lock t (fun () ->
       let r = f () in
       let m = File_cache.mapped_bytes t.cache in
-      with_obs_lock t (fun () -> Tally.set t.tally Tally.mapped m);
+      with_obs_lock t (fun () ->
+          Tally.set t.tally Tally.mapped m;
+          store_cache_counters t);
       r)
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder plumbing                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* All recorder access is serialised: ticks race between request paths,
-   loop timers, status reads and dump requests (MT workers share one
-   recorder).  The read closure takes [obs_mutex] inside; nothing
-   takes [recorder_mutex] while holding it. *)
-let with_recorder t f =
-  match t.recorder with
-  | None -> None
-  | Some r ->
-      Mutex.lock t.recorder_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.recorder_mutex)
-        (fun () -> Some (f r))
+(* All recorder access is serialised: ticks race between loop timers,
+   MT workers, the parked main thread, status reads and dump requests
+   (MT workers share one recorder).  The read closure takes [obs_mutex]
+   inside; nothing takes [recorder_mutex] while holding it.  Ticks come
+   only from where a loop waits — the periodic [T_tick], after each
+   worker or parked wait — never from a request. *)
+let with_recorder t f = Mutex.protect t.recorder_mutex (fun () -> f t.recorder)
 
-let tick_recorder t = ignore (with_recorder t Obs.Recorder.tick)
+let tick_recorder t = with_recorder t Obs.Recorder.tick
 
 (* The recorder's cumulative snapshot: the same counters the registry
-   exposes. *)
-let recorder_read t () =
+   exposes, read from the parts the instance is built from, so the
+   recorder exists before the instance does. *)
+let recorder_read ~tally ~obs_mutex ~loopstat ~helper () =
+  let total = Tally.sum tally in
   let cum =
     {
-      Obs.Recorder.c_requests = total t Tally.requests;
-      c_bytes = total t Tally.bytes_sent;
-      c_writev = total t Tally.writev_calls;
-      c_write = total t Tally.write_calls;
-      c_copied = total t Tally.bytes_copied;
-      c_cache_hits = File_cache.hits t.cache;
-      c_cache_misses = File_cache.misses t.cache;
-      c_errors = total t Tally.errors;
-      c_wait = Obs.Loopstat.wait_time t.loopstat;
-      c_work = Obs.Loopstat.work_time t.loopstat;
-      c_latency = latency_now t;
+      Obs.Recorder.c_requests = total Tally.requests;
+      c_bytes = total Tally.bytes_sent;
+      c_writev = total Tally.writev_calls;
+      c_write = total Tally.write_calls;
+      c_copied = total Tally.bytes_copied;
+      c_cache_hits = total Tally.cache_hits;
+      c_cache_misses = total Tally.cache_misses;
+      c_errors = total Tally.errors;
+      c_wait = Obs.Loopstat.wait_time loopstat;
+      c_work = Obs.Loopstat.work_time loopstat;
+      c_latency = Mutex.protect obs_mutex (fun () -> Tally.latency tally);
     }
   in
   let gauges =
     {
-      Obs.Recorder.g_active = total t Tally.active;
+      Obs.Recorder.g_active = total Tally.active;
       g_helper_queue =
-        (match t.helper with Some h -> Helper.queue_depth h | None -> 0);
-      g_mapped = total t Tally.mapped;
+        (match helper with Some h -> Helper.queue_depth h | None -> 0);
+      g_mapped = total Tally.mapped;
     }
   in
   (cum, gauges)
@@ -585,7 +600,6 @@ let commit t conn ~code ~keep =
           conn.write_span <-
             Some (Obs.Trace.begin_span tracer tr ~track:conn.track "write")
       | _ -> ());
-  tick_recorder t;
   if not keep then conn.close_after_flush <- true;
   conn.state <- Reading
 
@@ -731,11 +745,7 @@ let metrics_body t = Obs.Exposition.render (snd (collect_for t))
 
 (* ?window=N: the newest N flight-recorder rollups as JSON. *)
 let window_body t n =
-  let rollups =
-    match with_recorder t (fun r -> Obs.Recorder.window r n) with
-    | Some rs -> rs
-    | None -> []
-  in
+  let rollups = with_recorder t (fun r -> Obs.Recorder.window r n) in
   Printf.sprintf {|{"window":%d,"rollups":%s}|} n
     (Obs.Recorder.rollups_json rollups)
   ^ "\n"
@@ -817,12 +827,12 @@ let register_metrics t =
     (fun () -> latency_now t);
   let fl = [ ("cache", "file") ] in
   c ~name:"flash_cache_hits_total" ~help:"File-cache hits." ~labels:fl
-    (fun () -> File_cache.hits t.cache);
+    (tc Tally.cache_hits);
   c ~name:"flash_cache_misses_total" ~help:"File-cache misses." ~labels:fl
-    (fun () -> File_cache.misses t.cache);
+    (tc Tally.cache_misses);
   c ~name:"flash_cache_evictions_total"
     ~help:"File-cache evictions under capacity pressure." ~labels:fl
-    (fun () -> File_cache.evictions t.cache);
+    (tc Tally.cache_evictions);
   c ~name:"flash_cache_admitted_total"
     ~help:"Entries admitted by the admission policy." ~labels:fl
     (fun () -> (cstat ()).Flash_cache.Store.admitted);
@@ -856,17 +866,17 @@ let register_metrics t =
       hist ~name:"flash_helper_job_duration_seconds"
         ~help:"Helper disk-job latency."
         (fun () -> Helper.job_latency h));
+  (* Every iteration is one wakeup: both names read one counter. *)
+  let iterations () = Obs.Loopstat.iterations t.loopstat in
   c ~name:"flash_loop_iterations_total" ~help:"Event-loop iterations."
-    (fun () -> Obs.Watchdog.iterations t.watchdog);
+    iterations;
   c ~name:"flash_loop_stalls_total"
     ~help:"Loop iterations over the stall threshold."
-    (fun () -> Obs.Watchdog.stalls t.watchdog);
+    (fun () -> Obs.Loopstat.stalls t.loopstat);
   g ~name:"flash_loop_max_stall_seconds" ~help:"Longest loop iteration."
-    (fun () ->
-      let v = Obs.Watchdog.max_gap t.watchdog in
-      if Float.is_finite v then v else 0.);
+    (fun () -> Obs.Loopstat.max_stall t.loopstat);
   c ~name:"flash_loop_wakeups_total" ~help:"Readiness waits that returned."
-    (fun () -> Obs.Loopstat.wakeups t.loopstat);
+    iterations;
   c ~name:"flash_loop_ready_fds_total"
     ~help:"Ready descriptors returned across all wakeups."
     (fun () -> Obs.Loopstat.ready_fds t.loopstat);
@@ -885,7 +895,7 @@ let register_metrics t =
     (tc Tally.accept_shed);
   g ~name:"flash_accept_paused"
     ~help:"1 while the listen socket is parked by EMFILE backoff."
-    (fun () -> if t.accept_paused then 1. else 0.);
+    (fun () -> if t.accept_gate.paused then 1. else 0.);
   (match t.tracer with
   | None -> ()
   | Some tracer ->
@@ -1487,7 +1497,7 @@ let process_request t conn (req : Http.Request.t) =
           | None ->
               let json = Status.wants_json req in
               ( Status.body
-                  ~stall_threshold:(Obs.Watchdog.threshold t.watchdog)
+                  ~stall_threshold:(Obs.Loopstat.threshold t.loopstat)
                   ~sharding:(status_sharding t) ~json (collect_for t),
                 if json then "application/json" else "text/plain" ))
       else if is_metrics_request t req then
@@ -1977,21 +1987,47 @@ let accept_backoff_max = 1.0
 (* EMFILE/ENFILE on accept: park the listen fd's read interest instead
    of spinning on a connection we cannot take (level-triggered
    readiness would wake the loop at full speed otherwise), and let a
-   timer re-arm it after a backoff that doubles while the descriptor
-   table stays full. *)
-let pause_accept t =
+   [T_resume_accept] timer re-arm it after a backoff that doubles while
+   the descriptor table stays full. *)
+let pause_accept t g =
   count t Tally.accept_shed 1;
-  if not t.accept_paused then begin
-    t.accept_paused <- true;
-    Evio.Backend.modify t.evio t.listen_fd ~read:false ~write:false;
-    let delay = t.accept_backoff in
-    t.accept_backoff <-
-      Float.min accept_backoff_max (t.accept_backoff *. 2.);
+  if not g.paused then begin
+    g.paused <- true;
+    Evio.Backend.modify g.a_evio t.listen_fd ~read:false ~write:false;
     ignore
-      (Evio.Timer_wheel.schedule t.wheel
-         ~at:(t.config.clock () +. delay)
-         T_resume_accept)
+      (Evio.Timer_wheel.schedule g.a_wheel
+         ~at:(t.config.clock () +. g.backoff)
+         T_resume_accept);
+    g.backoff <- Float.min accept_backoff_max (g.backoff *. 2.)
   end
+
+(* The backoff timer fired: re-arm the listen interest.  [true] when it
+   was parked, so the caller accepts what queued meanwhile. *)
+let resume_accept t g =
+  let was = g.paused in
+  if was then begin
+    g.paused <- false;
+    Evio.Backend.modify g.a_evio t.listen_fd ~read:true ~write:false
+  end;
+  was
+
+(* One accept through the fault-injection seam: [Some fd], or [None]
+   when there is nothing to take — after parking the listen fd on
+   EMFILE/ENFILE. *)
+let accept_next t g =
+  if match t.config.accept_fault with Some f -> f () | None -> false then begin
+    pause_accept t g;
+    None
+  end
+  else
+    match Unix.accept t.listen_fd with
+    | fd, _ ->
+        g.backoff <- accept_backoff_initial;
+        Some fd
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        pause_accept t g;
+        None
+    | exception Unix.Unix_error _ -> None
 
 (* The guard keys peers by address only (no port): every connection
    from one host shares a ledger.  [getpeername] rather than the accept
@@ -2147,30 +2183,53 @@ let handoff_fd t ring fd =
 
 let accept_all t =
   let rec loop () =
-    let injected =
-      match t.config.accept_fault with Some f -> f () | None -> false
-    in
-    if injected then pause_accept t
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ -> (
-          t.accept_backoff <- accept_backoff_initial;
-          match t.role with
-          | Shard_coordinator { ring = Some ring } ->
-              handoff_fd t ring fd;
-              loop ()
-          | _ -> if adopt_fd t fd then loop () else pause_accept t)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          pause_accept t
-      | exception Unix.Unix_error _ -> ()
+    match accept_next t t.accept_gate with
+    | None -> ()
+    | Some fd -> (
+        match t.role with
+        | Shard_coordinator { ring = Some ring } ->
+            handoff_fd t ring fd;
+            loop ()
+        | _ -> if adopt_fd t fd then loop () else pause_accept t t.accept_gate)
   in
   loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* The guard's share of the periodic tick: ledger sweep, SLO-pressure
+   sampling and, at Shed_idle and above, giving back the cheapest
+   standing work first — keep-alive connections that served their
+   requests and have sat idle past the shed threshold. *)
+let guard_sweep t ~now g =
+  Guard.sweep g;
+  (match t.slo with
+  | Some slo ->
+      Guard.note_pressure g
+        ~state_code:(Obs.Slo.state_code slo)
+        ~burn:(Obs.Slo.burn slo)
+  | None -> ());
+  if Guard.level g <> Guard.Normal then begin
+    let cutoff = (Guard.config g).Guard.shed_idle_after in
+    let victims =
+      Hashtbl.fold
+        (fun _ conn acc ->
+          if
+            conn.alive && conn.state = Reading && conn.inbuf = ""
+            && Sendq.is_empty conn.outq
+            && conn.reqs_served > 0
+            && now -. conn.last_active >= cutoff
+          then conn :: acc
+          else acc)
+        t.conns []
+    in
+    List.iter
+      (fun conn ->
+        guard_shed t Guard.Idle_reap;
+        drop_conn t conn)
+      victims
+  end
 
 (* Idle timers are lazy: activity only updates [last_active]; when the
    timer fires we either close a genuinely idle connection or push the
@@ -2203,23 +2262,17 @@ let handle_timer t ~now ev =
             end_cgi ~kill:true t conn fd pid;
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
-  | T_resume_accept ->
-      if t.accept_paused then begin
-        t.accept_paused <- false;
-        Evio.Backend.modify t.evio t.listen_fd ~read:true ~write:false;
-        accept_all t
-      end
-  | T_rollup ->
-      (* Periodic flight-recorder tick, so windows close on an idle
-         server too; request paths also tick opportunistically. *)
+  | T_resume_accept -> if resume_accept t t.accept_gate then accept_all t
+  | T_tick ->
+      (* The loop's one periodic tick: close the recorder's window
+         first, so windows close on an idle server too and the guard
+         below reads fresh SLO pressure. *)
       tick_recorder t;
-      let interval =
-        match t.recorder with
-        | Some r -> Obs.Recorder.interval r
-        | None -> t.config.recorder_interval
-      in
+      Option.iter (guard_sweep t ~now) t.guard;
       ignore
-        (Evio.Timer_wheel.schedule t.wheel ~at:(now +. interval) T_rollup)
+        (Evio.Timer_wheel.schedule t.wheel
+           ~at:(now +. Obs.Recorder.interval t.recorder)
+           T_tick)
   | T_hdr conn ->
       conn.hdr_timer <- None;
       (* Armed only while a head is incomplete; [sync_conn] cancels it
@@ -2255,44 +2308,6 @@ let handle_timer t ~now ev =
                      ~at:(now +. cfg.Guard.transfer_interval)
                      (T_xfer conn))
             end)
-  | T_guard_tick -> (
-      match t.guard with
-      | None -> ()
-      | Some g ->
-          Guard.sweep g;
-          (match t.slo with
-          | Some slo ->
-              Guard.note_pressure g
-                ~state_code:(Obs.Slo.state_code slo)
-                ~burn:(Obs.Slo.burn slo)
-          | None -> ());
-          (* At Shed_idle and above, give back the cheapest standing
-             work first: keep-alive connections that served their
-             requests and have sat idle past the shed threshold. *)
-          (if Guard.level g <> Guard.Normal then begin
-             let cutoff = (Guard.config g).Guard.shed_idle_after in
-             let victims =
-               Hashtbl.fold
-                 (fun _ conn acc ->
-                   if
-                     conn.alive && conn.state = Reading && conn.inbuf = ""
-                     && Sendq.is_empty conn.outq
-                     && conn.reqs_served > 0
-                     && now -. conn.last_active >= cutoff
-                   then conn :: acc
-                   else acc)
-                 t.conns []
-             in
-             List.iter
-               (fun conn ->
-                 guard_shed t Guard.Idle_reap;
-                 drop_conn t conn)
-               victims
-           end);
-          ignore
-            (Evio.Timer_wheel.schedule t.wheel
-               ~at:(now +. t.config.recorder_interval)
-               T_guard_tick))
   | T_warm -> (
       match (t.warm, t.helper) with
       | Some w, Some helper ->
@@ -2414,12 +2429,18 @@ let dispatch_event t (ev : Evio.event) =
             sync_conn t conn
         | Reading | Waiting_helper _ -> ())
 
+(* Until the wheel's next deadline; forever when none is pending. *)
+let wait_timeout wheel ~now =
+  Option.map
+    (fun d -> Float.max 0. (d -. now))
+    (Evio.Timer_wheel.next_deadline wheel)
+
 let run_loop t =
   (* The loop's own fds live in the backend for its whole life.  The
      listen fd may be parked by EMFILE shedding; wake and helper
      interest never changes. *)
   if t.owns_listen then begin
-    Evio.Backend.register t.evio t.listen_fd ~read:(not t.accept_paused)
+    Evio.Backend.register t.evio t.listen_fd ~read:(not t.accept_gate.paused)
       ~write:false;
     Hashtbl.replace t.fd_owners t.listen_fd O_listen
   end;
@@ -2431,23 +2452,11 @@ let run_loop t =
       Evio.Backend.register t.evio nfd ~read:true ~write:false;
       Hashtbl.replace t.fd_owners nfd O_helper
   | None -> ());
-  (match t.recorder with
-  | Some r ->
-      ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. Obs.Recorder.interval r)
-           T_rollup)
-  | None -> ());
-  (match t.guard with
-  | Some _ ->
-      (* Guard tick: ledger sweep, SLO-pressure sampling, idle reaping.
-         Rides the recorder cadence so pressure is re-read as soon as a
-         window can have closed. *)
-      ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. t.config.recorder_interval)
-           T_guard_tick)
-  | None -> ());
+  let start = t.config.clock () in
+  ignore
+    (Evio.Timer_wheel.schedule t.wheel
+       ~at:(start +. Obs.Recorder.interval t.recorder)
+       T_tick);
   (match t.warm with
   | Some _ ->
       (* First mining cycle: almost at once when a startup log was
@@ -2459,37 +2468,29 @@ let run_loop t =
         | None -> t.config.warm_interval
       in
       ignore
-        (Evio.Timer_wheel.schedule t.wheel
-           ~at:(t.config.clock () +. first)
-           T_warm)
+        (Evio.Timer_wheel.schedule t.wheel ~at:(start +. first) T_warm)
   | None -> ());
+  (* Three clock reads an iteration: when the wait returns, when the
+     ready fds are dispatched (the timers' [now]), and at the end, which
+     is also the next wait's start. *)
+  let last = ref start in
   while not t.stopped do
     (* Sleep exactly until the next timer deadline (forever when no
        timers are pending) — readiness and the wake pipe interrupt the
-       wait, so there is no fixed tick. *)
-    let timeout =
-      Option.map
-        (fun d -> Float.max 0. (d -. t.config.clock ()))
-        (Evio.Timer_wheel.next_deadline t.wheel)
+       wait, so the wait has no fixed timeout. *)
+    let events =
+      Evio.Backend.wait t.evio ~timeout:(wait_timeout t.wheel ~now:!last)
     in
-    let wait_start = t.config.clock () in
-    let events = Evio.Backend.wait t.evio ~timeout in
-    let now = t.config.clock () in
-    Obs.Loopstat.wake t.loopstat ~waited:(now -. wait_start)
-      ~ready:(List.length events);
-    (* Time the processing half of the iteration only — blocking in
-       the readiness wait is idleness, not a stall. *)
-    Obs.Watchdog.arm t.watchdog;
+    let woke = t.config.clock () in
     List.iter (dispatch_event t) events;
-    let fired = Evio.Timer_wheel.advance t.wheel ~now:(t.config.clock ()) in
-    (match fired with
-    | [] -> ()
-    | evs ->
-        Obs.Loopstat.timers_fired t.loopstat (List.length evs);
-        let now = t.config.clock () in
-        List.iter (handle_timer t ~now) evs);
-    Obs.Loopstat.work t.loopstat ~spent:(t.config.clock () -. now);
-    Obs.Watchdog.check t.watchdog
+    let now = t.config.clock () in
+    let fired = Evio.Timer_wheel.advance t.wheel ~now in
+    List.iter (handle_timer t ~now) fired;
+    let fin = t.config.clock () in
+    Obs.Loopstat.iteration t.loopstat ~waited:(woke -. !last)
+      ~worked:(fin -. woke) ~ready:(List.length events)
+      ~fired:(List.length fired);
+    last := fin
   done;
   (* Drain: close everything. *)
   Hashtbl.iter (fun _ conn -> drop_conn t conn) (Hashtbl.copy t.conns)
@@ -2566,57 +2567,38 @@ let worker_loop t =
   in
   let scratch = Bytes.create scratch_size in
   let ev = Evio.Backend.create t.config.event_backend in
-  let wheel = Evio.Timer_wheel.create ~now:(t.config.clock ()) () in
-  let paused = ref false in
-  let backoff = ref accept_backoff_initial in
-  let pause () =
-    count t Tally.accept_shed 1;
-    if not !paused then begin
-      paused := true;
-      Evio.Backend.modify ev t.listen_fd ~read:false ~write:false;
-      ignore
-        (Evio.Timer_wheel.schedule wheel
-           ~at:(t.config.clock () +. !backoff)
-           ());
-      backoff := Float.min accept_backoff_max (!backoff *. 2.)
-    end
+  let g =
+    {
+      a_evio = ev;
+      a_wheel = Evio.Timer_wheel.create ~now:(t.config.clock ()) ();
+      paused = false;
+      backoff = accept_backoff_initial;
+    }
   in
   let try_accept () =
-    let injected =
-      match t.config.accept_fault with Some f -> f () | None -> false
-    in
-    if injected then pause ()
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-          backoff := accept_backoff_initial;
-          serve_blocking t fd ~track ~scratch
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-          pause ()
-      | exception Unix.Unix_error _ -> ()
+    Option.iter (fun fd -> serve_blocking t fd ~track ~scratch) (accept_next t g)
   in
+  (* Never sleep past a recorder interval: the tick after each wait
+     closes windows on an idle worker too. *)
+  let interval = Obs.Recorder.interval t.recorder in
   Evio.Backend.register ev t.listen_fd ~read:true ~write:false;
   Evio.Backend.register ev t.wake_read ~read:true ~write:false;
   (try
      while not t.stopped do
        let timeout =
-         Option.map
-           (fun d -> Float.max 0. (d -. t.config.clock ()))
-           (Evio.Timer_wheel.next_deadline wheel)
+         wait_timeout g.a_wheel ~now:(t.config.clock ())
+         |> Option.fold ~none:interval ~some:(Float.min interval)
        in
-       let events = Evio.Backend.wait ev ~timeout in
-       (match Evio.Timer_wheel.advance wheel ~now:(t.config.clock ()) with
+       let events = Evio.Backend.wait ev ~timeout:(Some timeout) in
+       tick_recorder t;
+       (* The only timer a worker schedules is [T_resume_accept]. *)
+       (match Evio.Timer_wheel.advance g.a_wheel ~now:(t.config.clock ()) with
        | [] -> ()
-       | _ :: _ ->
-           paused := false;
-           Evio.Backend.modify ev t.listen_fd ~read:true ~write:false;
-           if not t.stopped then try_accept ());
+       | _ :: _ -> if resume_accept t g && not t.stopped then try_accept ());
        if not t.stopped then
          List.iter
            (fun (e : Evio.event) ->
-             if e.Evio.fd = t.listen_fd && e.Evio.readable && not !paused
+             if e.Evio.fd = t.listen_fd && e.Evio.readable && not g.paused
              then try_accept ())
            events
      done
@@ -2761,6 +2743,23 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
     end
     else None
   in
+  let evio = Evio.Backend.create config.event_backend in
+  let wheel = Evio.Timer_wheel.create ~now:(config.clock ()) () in
+  let obs_mutex = Mutex.create () in
+  let loopstat = Obs.Loopstat.create ~threshold:config.stall_threshold () in
+  let slo =
+    Option.map
+      (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
+      config.latency_slo
+  in
+  let recorder =
+    Obs.Recorder.create
+      ~capacity:(max 1 config.recorder_capacity)
+      ~interval:config.recorder_interval ~now:config.clock
+      ~read:(recorder_read ~tally ~obs_mutex ~loopstat ~helper)
+      ~on_rollup:(fun r -> Option.iter (fun s -> Obs.Slo.observe s r) slo)
+      ()
+  in
   let t =
     {
       config;
@@ -2786,23 +2785,17 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
       tally;
       trace_ring;
       cache_mutex;
-      obs_mutex = Mutex.create ();
+      obs_mutex;
       registry = Obs.Registry.create ();
-      recorder = None;
+      recorder;
       recorder_mutex = Mutex.create ();
-      slo =
-        Option.map
-          (fun (quantile, target_ms) -> Obs.Slo.create ~quantile ~target_ms ())
-          config.latency_slo;
+      slo;
       gather_writes = config.use_writev && Iovec.have_writev;
       loop_track =
         (match role with
         | Shard_member { id; _ } -> Printf.sprintf "shard-%d" id
         | Standalone | Shard_coordinator _ -> "main-loop");
       loop_scratch = Bytes.create scratch_size;
-      watchdog =
-        Obs.Watchdog.create ~clock:config.clock
-          ~threshold:config.stall_threshold ();
       tracer =
         (if config.trace then
            Some
@@ -2819,12 +2812,17 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
           config.slow_request_log;
       started_at = config.clock ();
       worker_threads = [];
-      evio = Evio.Backend.create config.event_backend;
-      wheel = Evio.Timer_wheel.create ~now:(config.clock ()) ();
+      evio;
+      wheel;
       fd_owners = Hashtbl.create 64;
-      loopstat = Obs.Loopstat.create ();
-      accept_paused = false;
-      accept_backoff = accept_backoff_initial;
+      loopstat;
+      accept_gate =
+        {
+          a_evio = evio;
+          a_wheel = wheel;
+          paused = false;
+          backoff = accept_backoff_initial;
+        };
       role;
       shards = [||];
       coord = None;
@@ -2843,17 +2841,6 @@ let start_one ?(role = Standalone) ?(listen = `Bind) ?shared_budget
     }
   in
   register_metrics t;
-  (* Recorder after [register_metrics] (its read closure walks the same
-     counters) and before forks/threads, so every worker inherits it. *)
-  t.recorder <-
-    Some
-      (Obs.Recorder.create
-         ~capacity:(max 1 config.recorder_capacity)
-         ~interval:config.recorder_interval ~now:config.clock
-         ~read:(recorder_read t)
-         ~on_rollup:(fun r ->
-           match t.slo with Some s -> Obs.Slo.observe s r | None -> ())
-         ());
   (match config.mode with
   | Mp n ->
       let children =
@@ -2981,11 +2968,7 @@ let sharding_info t =
    on an idle server, until the wake pipe signals [stop]. *)
 let park_loop t =
   Evio.Backend.register t.evio t.wake_read ~read:true ~write:false;
-  let timeout =
-    match t.recorder with
-    | Some r -> Some (Obs.Recorder.interval r)
-    | None -> None
-  in
+  let timeout = Some (Obs.Recorder.interval t.recorder) in
   while not t.stopped do
     (* The wake pipe is left undrained: MT workers park on it too. *)
     ignore (Evio.Backend.wait t.evio ~timeout);
@@ -3103,7 +3086,4 @@ let tracing_enabled t = t.tracer <> None
 
 (* SIGUSR1 / shutdown dump: flush the partial window, render the whole
    ring. *)
-let recorder_dump t =
-  match with_recorder t Obs.Recorder.dump_json with
-  | Some s -> s
-  | None -> {|{"capacity": 0, "interval": 0, "rollups": []}|}
+let recorder_dump t = with_recorder t Obs.Recorder.dump_json

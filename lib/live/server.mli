@@ -63,8 +63,8 @@
 
     The server is instrumented with {!Obs}: a log-bucketed per-request
     latency histogram (recorded at response generation in every mode),
-    an event-loop stall watchdog (any iteration whose processing
-    exceeds [stall_threshold] counts as a stall — the measurable
+    an event-loop meter (any iteration whose processing exceeds
+    [stall_threshold] counts as a stall — the measurable
     signature of the SPED pathology), live/total connection gauges,
     cache hit/miss/eviction counters, and helper queue-depth and
     job-latency figures.  Everything is served by a built-in
@@ -134,7 +134,7 @@ type config = {
       (** seconds; loop iterations processing longer than this are
           recorded as stalls (default 50 ms) *)
   clock : unit -> float;
-      (** time source for latency/watchdog/idle accounting — injectable
+      (** time source for latency/loop/idle accounting — injectable
           so tests control it (default [Unix.gettimeofday]) *)
   slow_read : (string -> unit) option;
       (** fault injection: called with the path before every {e cold}

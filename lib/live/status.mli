@@ -17,7 +17,7 @@ type sharding = {
     text page, or the JSON view when [json].  Named fields read
     [summary] (sharded: the aggregate); the per-shard rows and the
     trailing flat metrics block read [all].  [stall_threshold] is the
-    watchdog's, in seconds. *)
+    loop meter's, in seconds. *)
 val body :
   stall_threshold:float ->
   sharding:sharding option ->

@@ -27,11 +27,14 @@ let bytes_sent = 10
 let accept_shed = 11
 let active = 12
 let mapped = 13
-let h_count = 14
-let h_sum = 15
-let h_min = 16
-let h_max = 17
-let h_buckets = 18
+let cache_hits = 14
+let cache_misses = 15
+let cache_evictions = 16
+let h_count = 17
+let h_sum = 18
+let h_min = 19
+let h_max = 20
+let h_buckets = 21
 let n_buckets = 256
 
 (* Rows are padded to whole 64-byte lines, so two writers never share

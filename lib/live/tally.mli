@@ -35,6 +35,13 @@ val active : field
 
 val mapped : field
 
+(** The writer's file-cache hit, miss and eviction counts, stored
+    whole (with {!set}) from its own cache. *)
+val cache_hits : field
+
+val cache_misses : field
+val cache_evictions : field
+
 (** [map_shared n]: [n] zeroed words in a [MAP_SHARED] mapping of an
     unlinked temporary file, shared by processes forked afterwards. *)
 val map_shared :

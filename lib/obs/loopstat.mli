@@ -1,31 +1,43 @@
-(** Event-loop wakeup accounting.
+(** Event-loop meter: each iteration measured once.
 
-    One record per loop, updated by the loop thread only (reads from a
-    status renderer race benignly against word-sized stores):
-    - {b wakeups}: times the readiness wait returned;
-    - {b ready_fds}: total ready descriptors across those wakeups —
-      [ready_fds / wakeups] is the batching factor, the number the
-      backend comparison turns on (select pays O(watched) per wakeup,
-      epoll O(ready));
-    - {b wait_time} vs {b work_time}: seconds blocked in the wait
-      versus seconds processing — an idle loop should be all wait;
-    - {b timer_fires}: timer-wheel expirations handled. *)
+    An event-driven server must never block between readiness waits; a
+    single synchronous disk read freezes every connection (the SPED
+    pathology of §3.3 of the Flash paper).  The loop hands over each
+    iteration's two halves — seconds blocked in the wait, seconds
+    processing what it returned — and the meter keeps:
+    - {b iterations}: times the wait returned, each one wakeup;
+    - {b ready_fds}: ready descriptors across those wakeups —
+      [ready_fds / iterations] is the batching factor the backend
+      comparison turns on (select pays O(watched) per wakeup, epoll
+      O(ready));
+    - {b wait_time} vs {b work_time}: an idle loop is all wait;
+    - {b timer_fires}: timer-wheel expirations handled;
+    - {b stalls}: work intervals over the threshold.  Blocking in the
+      wait is idleness, never a stall.
+
+    The caller measures, so tests drive it with plain numbers.  One
+    record per loop, written by the loop thread only (reads from a
+    status renderer race benignly against word-sized stores). *)
 
 type t
 
-val create : unit -> t
+(** [create ~threshold ()] — [threshold] is the stall limit in seconds.
+    @raise Invalid_argument if [threshold <= 0]. *)
+val create : threshold:float -> unit -> t
 
-val wake : t -> waited:float -> ready:int -> unit
-(** Record one wait returning [ready] descriptors after blocking for
-    [waited] seconds. *)
+(** [iteration t ~waited ~worked ~ready ~fired]: one wait returned
+    [ready] descriptors after blocking [waited] seconds, then [worked]
+    seconds went to them and to [fired] timers.  Negative intervals
+    count as zero. *)
+val iteration : t -> waited:float -> worked:float -> ready:int -> fired:int -> unit
 
-val work : t -> spent:float -> unit
-(** Add processing time for the current iteration. *)
-
-val timers_fired : t -> int -> unit
-
-val wakeups : t -> int
+val threshold : t -> float
+val iterations : t -> int
 val ready_fds : t -> int
 val wait_time : t -> float
 val work_time : t -> float
 val timer_fires : t -> int
+val stalls : t -> int
+
+(** Longest work interval; [0.] before any. *)
+val max_stall : t -> float

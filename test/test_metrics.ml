@@ -507,6 +507,56 @@ let test_mp_metrics_consolidated () =
         last := n
       done)
 
+(* Each MP child owns its file cache, and stores that cache's counters
+   into its own tally row: every scrape, whichever child serves it,
+   counts one lookup per GET sent so far — hits plus misses of the
+   whole server, not of the serving child. *)
+let test_mp_cache_counters_whole_server () =
+  let docroot = Test_live.make_docroot () in
+  with_config
+    { (Server.default_config ~docroot) with Server.mode = Server.Mp 2 }
+    (fun _server port ->
+      let n = 40 in
+      for _ = 1 to n do
+        ignore (get port "/hello.txt")
+      done;
+      for _ = 1 to 6 do
+        let families = validate_families (get port "/metrics").Client.body in
+        let v name =
+          int_of_float (series_value families ~labels:[ ("cache", "file") ] name)
+        in
+        Alcotest.(check int) "hits + misses = GETs" n
+          (v "flash_cache_hits_total" + v "flash_cache_misses_total")
+      done)
+
+(* Windows close where a loop waits, not where a request runs: an idle
+   server still closes one window per interval — the MT main thread's
+   parked wait, and each MP child's accept wait, which the ?window=N
+   scrape reads (the child's own recorder). *)
+let test_idle_servers_close_windows () =
+  List.iter
+    (fun (name, mode) ->
+      let docroot = Test_live.make_docroot () in
+      with_config
+        {
+          (Server.default_config ~docroot) with
+          Server.mode;
+          recorder_interval = 0.1;
+        }
+        (fun _server port ->
+          Thread.delay 0.35;
+          let j = parse_json (get port "/server-status?window=50").Client.body in
+          let rollups =
+            match member "rollups" j with
+            | Arr ws -> ws
+            | _ -> Alcotest.fail "rollups should be an array"
+          in
+          Alcotest.(check bool)
+            (name ^ ": idle windows closed")
+            true
+            (List.length rollups >= 2)))
+    [ ("mt:2", Server.Mt 2); ("mp:2", Server.Mp 2) ]
+
 let suite =
   [
     Alcotest.test_case "rendered exposition validates" `Quick
@@ -535,4 +585,8 @@ let suite =
       test_mp_gauges_sum_at_snapshot;
     Alcotest.test_case "MP /metrics consolidates counters" `Quick
       test_mp_metrics_consolidated;
+    Alcotest.test_case "MP cache counters are the server's" `Quick
+      test_mp_cache_counters_whole_server;
+    Alcotest.test_case "idle MT and MP close windows" `Quick
+      test_idle_servers_close_windows;
   ]

@@ -1,6 +1,6 @@
 (* Property and unit tests for the observability library: the
-   log-bucketed histogram's quantile guarantees, gauges, and the
-   loop-stall watchdog driven by a fake clock. *)
+   log-bucketed histogram's quantile guarantees, gauges, the shared
+   tally, and the event-loop meter fed plain numbers. *)
 
 module H = Obs.Histogram
 
@@ -204,50 +204,45 @@ let test_counter () =
   Obs.Counter.add c 4;
   Alcotest.(check int) "value" 5 (Obs.Counter.value c)
 
-(* The watchdog must attribute time correctly with no wall clock at all:
-   everything below is driven by a hand-cranked fake clock. *)
-let test_watchdog_fake_clock () =
-  let now = ref 0. in
-  let wd = Obs.Watchdog.create ~clock:(fun () -> !now) ~threshold:0.05 () in
+(* The loop meter takes each iteration's measured halves, so every
+   case below is plain numbers: no clock at all. *)
+let test_loopstat_fake_inputs () =
+  let ls = Obs.Loopstat.create ~threshold:0.05 () in
+  let iter = Obs.Loopstat.iteration ls in
   (* Fast iteration: no stall. *)
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.01;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "no stall yet" 0 (Obs.Watchdog.stalls wd);
-  (* Idle time between iterations is NOT counted: the clock advances a
-     lot while disarmed. *)
-  now := !now +. 10.;
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.02;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "idle gap ignored" 0 (Obs.Watchdog.stalls wd);
-  (* A slow iteration is a stall. *)
-  Obs.Watchdog.arm wd;
-  now := !now +. 0.30;
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "stall recorded" 1 (Obs.Watchdog.stalls wd);
-  Helpers.check_float ~msg:"max gap" 0.30 ~eps:1e-9 (Obs.Watchdog.max_gap wd);
-  Helpers.check_float ~msg:"last gap" 0.30 ~eps:1e-9 (Obs.Watchdog.last_gap wd);
-  Alcotest.(check int) "iterations" 3 (Obs.Watchdog.iterations wd);
-  Alcotest.(check int) "gap histogram fed" 3
-    (H.count (Obs.Watchdog.gaps wd));
-  (* check without arm is a no-op. *)
-  Obs.Watchdog.check wd;
-  Alcotest.(check int) "unarmed check ignored" 3 (Obs.Watchdog.iterations wd);
-  Obs.Watchdog.reset wd;
-  Alcotest.(check int) "reset" 0 (Obs.Watchdog.stalls wd)
+  iter ~waited:0.001 ~worked:0.01 ~ready:2 ~fired:0;
+  Alcotest.(check int) "no stall yet" 0 (Obs.Loopstat.stalls ls);
+  (* Idle time is NOT a stall: ten seconds blocked in the wait. *)
+  iter ~waited:10. ~worked:0.02 ~ready:1 ~fired:1;
+  Alcotest.(check int) "idle wait ignored" 0 (Obs.Loopstat.stalls ls);
+  (* A slow iteration is a stall, and sets the max. *)
+  iter ~waited:0. ~worked:0.30 ~ready:1 ~fired:0;
+  Alcotest.(check int) "stall recorded" 1 (Obs.Loopstat.stalls ls);
+  Helpers.check_float ~msg:"max stall" 0.30 ~eps:1e-9
+    (Obs.Loopstat.max_stall ls);
+  (* A shorter stall counts but leaves the max. *)
+  iter ~waited:0. ~worked:0.06 ~ready:0 ~fired:2;
+  Alcotest.(check int) "second stall" 2 (Obs.Loopstat.stalls ls);
+  Helpers.check_float ~msg:"max kept" 0.30 ~eps:1e-9 (Obs.Loopstat.max_stall ls);
+  (* Negative intervals (a clock step) count as zero. *)
+  iter ~waited:(-1.) ~worked:(-1.) ~ready:0 ~fired:0;
+  Alcotest.(check int) "iterations are wakeups" 5 (Obs.Loopstat.iterations ls);
+  Alcotest.(check int) "ready fds summed" 4 (Obs.Loopstat.ready_fds ls);
+  Alcotest.(check int) "timer fires summed" 3 (Obs.Loopstat.timer_fires ls);
+  Helpers.check_float ~msg:"wait time" 10.001 ~eps:1e-9
+    (Obs.Loopstat.wait_time ls);
+  Helpers.check_float ~msg:"work time" 0.39 ~eps:1e-9
+    (Obs.Loopstat.work_time ls)
 
-let test_watchdog_beat () =
-  let now = ref 0. in
-  let wd = Obs.Watchdog.create ~clock:(fun () -> !now) ~threshold:0.1 () in
-  Obs.Watchdog.beat wd;
-  now := !now +. 0.2;
-  Obs.Watchdog.beat wd;
-  now := !now +. 0.05;
-  Obs.Watchdog.beat wd;
-  Alcotest.(check int) "beats measure gaps between beats" 2
-    (Obs.Watchdog.iterations wd);
-  Alcotest.(check int) "one stall" 1 (Obs.Watchdog.stalls wd)
+let test_loopstat_threshold () =
+  List.iter
+    (fun threshold ->
+      match Obs.Loopstat.create ~threshold () with
+      | _ -> Alcotest.failf "threshold %g accepted" threshold
+      | exception Invalid_argument _ -> ())
+    [ 0.; -0.05; Float.nan ];
+  Helpers.check_float ~msg:"threshold kept" 0.05 ~eps:0.
+    (Obs.Loopstat.threshold (Obs.Loopstat.create ~threshold:0.05 ()))
 
 (* The sim's Stat.Quantile is the very same type — a value built there
    interoperates with Obs.Histogram directly. *)
@@ -271,9 +266,9 @@ let suite =
     Alcotest.test_case "invalid arguments" `Quick test_histogram_invalid;
     Alcotest.test_case "gauge high-watermark" `Quick test_gauge;
     Alcotest.test_case "counter" `Quick test_counter;
-    Alcotest.test_case "watchdog with fake clock" `Quick
-      test_watchdog_fake_clock;
-    Alcotest.test_case "watchdog beat mode" `Quick test_watchdog_beat;
+    Alcotest.test_case "loopstat with fake inputs" `Quick
+      test_loopstat_fake_inputs;
+    Alcotest.test_case "loopstat threshold" `Quick test_loopstat_threshold;
     Alcotest.test_case "Stat.Quantile = Obs.Histogram" `Quick
       test_sim_quantile_is_obs_histogram;
   ]

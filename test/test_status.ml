@@ -1,6 +1,6 @@
 (* Integration tests for the live server's observability: the
-   /server-status endpoint across all four architectures, the loop-stall
-   watchdog separating SPED from AMPED, and the keep-alive idle-timeout
+   /server-status endpoint across all four architectures, the loop meter's
+   stalls separating SPED from AMPED, and the keep-alive idle-timeout
    accounting.  Runs over real loopback sockets. *)
 
 module Server = Flash_live.Server
@@ -564,7 +564,7 @@ let test_status_not_in_access_log () =
         (Helpers.contains ~affix:"server-status" contents))
 
 (* ------------------------------------------------------------------ *)
-(* The watchdog separates the architectures (§3.3)                     *)
+(* The loop meter separates the architectures (§3.3)                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Identical traffic, identical injected disk slowness; only the mode
@@ -641,6 +641,48 @@ let test_idle_timeout_closes_and_accounts () =
       Alcotest.(check int) "second connection counted" 2
         stats2.Server.connections)
 
+(* The loop reads the clock three times an iteration.  An idle SPED
+   server wakes only for its periodic tick, which reads it once more
+   (the recorder's window check), so the reads stay within four per
+   iteration plus startup's few. *)
+let test_loop_clock_reads () =
+  let docroot = Test_live.make_docroot () in
+  let reads = Atomic.make 0 in
+  let clock () =
+    Atomic.incr reads;
+    Unix.gettimeofday ()
+  in
+  let server =
+    Server.start_background
+      {
+        (Server.default_config ~docroot) with
+        Server.mode = Server.Sped;
+        clock;
+        recorder_interval = 0.01;
+      }
+  in
+  Thread.delay 0.3;
+  Server.stop server;
+  let n = Atomic.get reads in
+  let iterations = (Server.stats server).Server.loop_wakeups in
+  Alcotest.(check bool) "the loop ticked" true (iterations >= 5);
+  if n > (4 * iterations) + 16 then
+    Alcotest.failf "%d clock reads over %d iterations" n iterations;
+  let families =
+    match Obs.Exposition.validate (Server.metrics_body server) with
+    | Ok families -> families
+    | Error msg -> Alcotest.failf "/metrics invalid: %s" msg
+  in
+  let value name =
+    List.concat_map (fun f -> f.Obs.Exposition.f_series) families
+    |> List.find (fun s -> s.Obs.Exposition.s_name = name)
+    |> fun s -> s.Obs.Exposition.s_value
+  in
+  Alcotest.(check (float 0.))
+    "iterations = wakeups"
+    (value "flash_loop_iterations_total")
+    (value "flash_loop_wakeups_total")
+
 (* Per-request latency lands in the histogram in every mode. *)
 let test_latency_recorded mode () =
   with_mode mode (fun server port ->
@@ -679,6 +721,8 @@ let suite =
     Alcotest.test_case "SPED stalls on cold read" `Quick
       test_sped_stalls_on_cold_read;
     Alcotest.test_case "AMPED does not stall" `Quick test_amped_does_not_stall;
+    Alcotest.test_case "loop: 3 clock reads an iteration" `Quick
+      test_loop_clock_reads;
     Alcotest.test_case "idle timeout reaps and accounts" `Quick
       test_idle_timeout_closes_and_accounts;
     Alcotest.test_case "latency recorded (AMPED)" `Quick
