@@ -25,6 +25,37 @@ let bench_header_unaligned =
            (Http.Response.header ~status:Http.Status.Ok
               ~content_type:"text/html" ~content_length:8192 ())))
 
+(* The cache-entry shape: both connection variants with Date and
+   Last-Modified, as a Flash-cache miss renders them (twice per entry,
+   200 and 304). *)
+let bench_header_entry =
+  Test.make ~name:"http.response.header_pair(entry)"
+    (Staged.stage (fun () ->
+         ignore
+           (Http.Response.header_pair ~status:Http.Status.Ok
+              ~date:1_700_000_000.5 ~last_modified:1_600_000_000.
+              ~content_type:"text/html" ~content_length:8192
+              ~extra:
+                [ ("ETag", "\"5f5e1000-2000\""); ("Accept-Ranges", "bytes") ]
+              ~align:32 ())))
+
+(* AMPED's residency gate on a miss: one mincore over a 64 KB mapping of
+   a file this process just wrote (so its pages are resident). *)
+let bench_resident =
+  let path = Filename.temp_file "flash-micro" ".bin" in
+  let oc = open_out_bin path in
+  output_string oc (String.make 65536 'r');
+  close_out oc;
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let map =
+    Bigarray.array1_of_genarray
+      (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| 65536 |])
+  in
+  Unix.close fd;
+  Sys.remove path;
+  Test.make ~name:"iovec.resident(64KB)"
+    (Staged.stage (fun () -> ignore (Iovec.resident map)))
+
 let bench_lru =
   let lru =
     Flash_cache.Store.create ~policy:Flash_cache.Policy.Lru ~capacity:1024 ()
@@ -114,6 +145,8 @@ let tests =
       bench_parse;
       bench_header_aligned;
       bench_header_unaligned;
+      bench_header_entry;
+      bench_resident;
       bench_lru;
       bench_zipf;
       bench_buffer_cache;

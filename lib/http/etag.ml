@@ -1,5 +1,22 @@
 type t = { weak : bool; opaque : string }
 
+(* Lower-case hex of the int's bits, as [%x] prints it: a negative int
+   reads as its unsigned 63-bit pattern. *)
+let hex n =
+  if n = 0 then "0"
+  else begin
+    let b = Bytes.create 16 in
+    let rec fill n i =
+      if n = 0 then i
+      else begin
+        Bytes.unsafe_set b (i - 1) "0123456789abcdef".[n land 15];
+        fill (n lsr 4) (i - 1)
+      end
+    in
+    let i = fill n 16 in
+    Bytes.sub_string b i (16 - i)
+  end
+
 (* The file cache validates entries by (mtime, size); the ETag is that
    validation key rendered as a strong validator, so a cache hit, its
    Last-Modified, and its ETag can never disagree.  Whole seconds only —
@@ -8,7 +25,7 @@ type t = { weak : bool; opaque : string }
    (gzip) append a suffix so each representation has its own tag, as
    RFC 9110 §8.8.3 requires. *)
 let make ?(suffix = "") ~mtime ~size () =
-  Printf.sprintf "\"%x-%x%s\"" (int_of_float (floor mtime)) size suffix
+  "\"" ^ hex (int_of_float (floor mtime)) ^ "-" ^ hex size ^ suffix ^ "\""
 
 let render t = if t.weak then "W/\"" ^ t.opaque ^ "\"" else "\"" ^ t.opaque ^ "\""
 

@@ -169,11 +169,22 @@ let split_timestamp ts =
 
 let format ts =
   let days, year, month, day, hh, mm, ss = split_timestamp ts in
-  Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d GMT"
-    weekday_names.(weekday_of_days days)
-    day
-    month_names.(month - 1)
-    year hh mm ss
+  let buf = Buffer.create 29 in
+  Buffer.add_string buf weekday_names.(weekday_of_days days);
+  Buffer.add_string buf ", ";
+  Decimal.add ~width:2 buf day;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf month_names.(month - 1);
+  Buffer.add_char buf ' ';
+  Decimal.add ~width:4 buf year;
+  Buffer.add_char buf ' ';
+  Decimal.add ~width:2 buf hh;
+  Buffer.add_char buf ':';
+  Decimal.add ~width:2 buf mm;
+  Buffer.add_char buf ':';
+  Decimal.add ~width:2 buf ss;
+  Buffer.add_string buf " GMT";
+  Buffer.contents buf
 
 let format_rfc850 ts =
   let days, year, month, day, hh, mm, ss = split_timestamp ts in

@@ -1,25 +1,28 @@
 let default_server = "Flash/1.0 (OCaml)"
 
-let render ~version ~server ~content_type ~content_length ~keep_alive ~date
-    ~last_modified ~extra ~status =
-  let buf = Buffer.create 256 in
+(* Render into [buf] (dates already formatted); returns the offset just
+   past the Server value, where alignment padding goes. *)
+let render buf ~version ~server ~content_type ~content_length ~keep_alive
+    ~date ~last_modified ~extra ~status =
   Buffer.add_string buf version;
   Buffer.add_char buf ' ';
-  Buffer.add_string buf (Status.line_fragment status);
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf "Server: ";
+  Decimal.add buf (Status.code status);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Status.reason status);
+  Buffer.add_string buf "\r\nServer: ";
   Buffer.add_string buf server;
+  let server_end = Buffer.length buf in
   Buffer.add_string buf "\r\n";
   (match date with
   | Some d ->
       Buffer.add_string buf "Date: ";
-      Buffer.add_string buf (Http_date.format d);
+      Buffer.add_string buf d;
       Buffer.add_string buf "\r\n"
   | None -> ());
   (match last_modified with
   | Some d ->
       Buffer.add_string buf "Last-Modified: ";
-      Buffer.add_string buf (Http_date.format d);
+      Buffer.add_string buf d;
       Buffer.add_string buf "\r\n"
   | None -> ());
   (match content_type with
@@ -31,7 +34,7 @@ let render ~version ~server ~content_type ~content_length ~keep_alive ~date
   (match content_length with
   | Some len ->
       Buffer.add_string buf "Content-Length: ";
-      Buffer.add_string buf (string_of_int len);
+      Decimal.add buf len;
       Buffer.add_string buf "\r\n"
   | None -> ());
   (match keep_alive with
@@ -46,36 +49,57 @@ let render ~version ~server ~content_type ~content_length ~keep_alive ~date
       Buffer.add_string buf "\r\n")
     extra;
   Buffer.add_string buf "\r\n";
-  Buffer.contents buf
+  server_end
+
+(* The rendered header, padded at [server_end] to a multiple of [align]:
+   the variable-length Server field grows (§5.5), so the header grows by
+   exactly the padding. *)
+let aligned buf ~server_end align =
+  match align with
+  | None -> Buffer.contents buf
+  | Some a ->
+      if a <= 0 then invalid_arg "Response.header: align <= 0";
+      let len = Buffer.length buf in
+      let remainder = len mod a in
+      if remainder = 0 then Buffer.contents buf
+      else begin
+        let pad = a - remainder in
+        let out = Bytes.create (len + pad) in
+        Buffer.blit buf 0 out 0 server_end;
+        Bytes.fill out server_end pad ' ';
+        Buffer.blit buf server_end out (server_end + pad) (len - server_end);
+        Bytes.unsafe_to_string out
+      end
 
 let header ?(version = "HTTP/1.0") ?(server = default_server) ?content_type
     ?content_length ?keep_alive ?date ?last_modified ?(extra = []) ?align
     ~status () =
-  let base =
-    render ~version ~server ~content_type ~content_length ~keep_alive ~date
-      ~last_modified ~extra ~status
+  let buf = Buffer.create 256 in
+  let server_end =
+    render buf ~version ~server ~content_type ~content_length ~keep_alive
+      ~date:(Option.map Http_date.format date)
+      ~last_modified:(Option.map Http_date.format last_modified)
+      ~extra ~status
   in
-  match align with
-  | None -> base
-  | Some a ->
-      if a <= 0 then invalid_arg "Response.header: align <= 0";
-      let remainder = String.length base mod a in
-      if remainder = 0 then base
-      else begin
-        (* Pad the variable-length Server field (§5.5): the header grows
-           by the same number of bytes the field does. *)
-        let padding = String.make (a - remainder) ' ' in
-        render ~version ~server:(server ^ padding) ~content_type
-          ~content_length ~keep_alive ~date ~last_modified ~extra ~status
-      end
+  aligned buf ~server_end align
 
-let header_pair ?version ?server ?content_type ?content_length ?date
-    ?last_modified ?extra ?align ~status () =
-  let render keep_alive =
-    header ?version ?server ?content_type ?content_length ~keep_alive ?date
-      ?last_modified ?extra ?align ~status ()
+(* One date format per field and one buffer for both variants. *)
+let header_pair ?(version = "HTTP/1.0") ?(server = default_server)
+    ?content_type ?content_length ?date ?last_modified ?(extra = []) ?align
+    ~status () =
+  let date = Option.map Http_date.format date in
+  let last_modified = Option.map Http_date.format last_modified in
+  let buf = Buffer.create 256 in
+  let variant keep_alive =
+    Buffer.clear buf;
+    let server_end =
+      render buf ~version ~server ~content_type ~content_length
+        ~keep_alive:(Some keep_alive) ~date ~last_modified ~extra ~status
+    in
+    aligned buf ~server_end align
   in
-  (render true, render false)
+  let keep = variant true in
+  (keep, variant false)
 
 let retry_after seconds =
   if seconds < 0 then invalid_arg "Response.retry_after: negative delay";

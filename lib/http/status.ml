@@ -46,4 +46,4 @@ let reason = function
   | Not_implemented -> "Not Implemented"
   | Service_unavailable -> "Service Unavailable"
 
-let line_fragment t = Printf.sprintf "%d %s" (code t) (reason t)
+let line_fragment t = string_of_int (code t) ^ " " ^ reason t

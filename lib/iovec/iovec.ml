@@ -8,6 +8,8 @@ external stub_available : unit -> bool = "flash_iovec_available"
 external stub_writev : Unix.file_descr -> slice array -> int -> int
   = "flash_iovec_writev"
 
+external resident : bigstring -> bool = "flash_iovec_resident" [@@noalloc]
+
 let have_writev = stub_available ()
 let max_iovecs = 64
 

@@ -44,6 +44,15 @@ val sub_string : bigstring -> off:int -> len:int -> string
     @raise Invalid_argument on out-of-range windows. *)
 val slice : ?off:int -> ?len:int -> bigstring -> slice
 
+(** [resident buf]: every page of the mapping [buf] is in the page
+    cache now, so reading it cannot block on disk — the [mincore(2)]
+    test AMPED's event loop makes before serving a miss itself (paper
+    §3.4).  It touches no page.  An empty buffer is resident; a buffer
+    not starting on a page boundary (a heap copy rather than a
+    mapping), an error, or a platform without [mincore] answers
+    [false]. *)
+val resident : bigstring -> bool
+
 (** Remaining bytes across an array of slices. *)
 val total_length : slice array -> int
 

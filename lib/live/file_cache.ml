@@ -158,14 +158,20 @@ let read_body fd size =
   let got = loop 0 in
   Iovec.of_bytes buf ~len:got
 
-let map_body fd ~size =
-  if size <= 0 then (Iovec.create 0, false)
+let map fd ~size =
+  if size <= 0 then None
   else
     match
       Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |]
     with
-    | genarray -> (Bigarray.array1_of_genarray genarray, true)
-    | exception _ -> (read_body fd size, false)
+    | genarray -> Some (Bigarray.array1_of_genarray genarray)
+    | exception _ -> None
+
+let map_body fd ~size =
+  match map fd ~size with
+  | Some body -> (body, true)
+  | None when size <= 0 -> (Iovec.create 0, false)
+  | None -> (read_body fd size, false)
 
 (* Pinned hot tier: pinning is by origin path; variants stay under
    normal replacement (they are re-derivable from the pinned origin). *)

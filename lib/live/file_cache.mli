@@ -130,6 +130,11 @@ val fold_paths :
     that never became resident. *)
 val rejected_paths : t -> string list
 
+(** [map fd ~size]: a shared read-only mapping of [size] bytes of
+    [fd], or [None] when [size] is 0 or the filesystem refuses to map.
+    Mapping reads no file data, so it does not wait on the disk. *)
+val map : Unix.file_descr -> size:int -> Iovec.bigstring option
+
 (** Map [size] bytes of [fd] (position-independent; the descriptor may
     be closed afterwards, the mapping survives).  Falls back to reading
     the contents into a fresh buffer when mapping fails; the second

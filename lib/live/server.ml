@@ -367,12 +367,18 @@ let count t field n = with_obs_lock t (fun () -> Tally.add t.tally field n)
 let total t field = Tally.sum t.tally field
 let status_class_names = [| "2xx"; "3xx"; "4xx"; "5xx" |]
 
-(* This writer's file-cache counters, stored whole into its row (in MP
-   each child has its own cache).  Caller holds the obs lock. *)
+(* This writer's file-cache counters and gauges, stored whole into its
+   row (in MP each child has its own cache).  Caller holds the obs
+   lock. *)
 let store_cache_counters t =
-  Tally.set t.tally Tally.cache_hits (File_cache.hits t.cache);
-  Tally.set t.tally Tally.cache_misses (File_cache.misses t.cache);
-  Tally.set t.tally Tally.cache_evictions (File_cache.evictions t.cache)
+  let s = File_cache.stats t.cache in
+  Tally.set t.tally Tally.cache_hits s.Flash_cache.Store.hits;
+  Tally.set t.tally Tally.cache_misses s.Flash_cache.Store.misses;
+  Tally.set t.tally Tally.cache_evictions s.Flash_cache.Store.evictions;
+  Tally.set t.tally Tally.cache_entries s.Flash_cache.Store.entries;
+  Tally.set t.tally Tally.cache_bytes s.Flash_cache.Store.resident;
+  Tally.set t.tally Tally.cache_admitted s.Flash_cache.Store.admitted;
+  Tally.set t.tally Tally.cache_rejected s.Flash_cache.Store.rejected
 
 (* Every response is counted here, in every mode: its status class
    (2xx/3xx/4xx/5xx), whether it is an error (400 and up) and its
@@ -501,6 +507,14 @@ let begin_work_span t conn name =
             Some (Obs.Trace.begin_span tracer tr ~track:conn.track name)
       | _ -> ())
 
+let end_work_span t conn =
+  with_tracer t (fun tracer ->
+      match conn.work_span with
+      | Some sp ->
+          Obs.Trace.end_span tracer sp;
+          conn.work_span <- None
+      | None -> ())
+
 let log_slow t (data : Obs.Trace.trace_data) =
   match t.config.slow_request_ms with
   | None -> ()
@@ -589,12 +603,8 @@ let log_access ?conn ?path t ~meth ~target ~status ~bytes =
    write span begins. *)
 let commit t conn ~code ~keep =
   count_response t ~code ~latency:(t.config.clock () -. conn.req_start);
+  end_work_span t conn;
   with_tracer t (fun tracer ->
-      (match conn.work_span with
-      | Some sp ->
-          Obs.Trace.end_span tracer sp;
-          conn.work_span <- None
-      | None -> ());
       match conn.trace with
       | Some tr when conn.write_span = None ->
           conn.write_span <-
@@ -602,9 +612,6 @@ let commit t conn ~code ~keep =
       | _ -> ());
   if not keep then conn.close_after_flush <- true;
   conn.state <- Reading
-
-let slow_read_hook t path =
-  match t.config.slow_read with Some f -> f path | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Request resolution                                                  *)
@@ -835,16 +842,16 @@ let register_metrics t =
     (tc Tally.cache_evictions);
   c ~name:"flash_cache_admitted_total"
     ~help:"Entries admitted by the admission policy." ~labels:fl
-    (fun () -> (cstat ()).Flash_cache.Store.admitted);
+    (tc Tally.cache_admitted);
   c ~name:"flash_cache_rejected_total"
     ~help:"Entries rejected by the admission policy." ~labels:fl
-    (fun () -> (cstat ()).Flash_cache.Store.rejected);
+    (tc Tally.cache_rejected);
   g ~name:"flash_cache_entries" ~help:"Entries resident in the file cache."
     ~labels:fl
-    (fun () -> float_of_int (File_cache.entries t.cache));
+    (fun () -> float_of_int (total t Tally.cache_entries));
   g ~name:"flash_cache_resident_bytes"
     ~help:"Bytes resident in the file cache." ~labels:fl
-    (fun () -> float_of_int (File_cache.bytes t.cache));
+    (fun () -> float_of_int (total t Tally.cache_bytes));
   g ~name:"flash_cache_capacity_bytes" ~help:"Configured file-cache capacity."
     ~labels:fl
     (fun () -> float_of_int (cstat ()).Flash_cache.Store.capacity);
@@ -1181,11 +1188,28 @@ let read_into fd buf len =
   in
   loop 0
 
+(* Open and fstat a docroot file.  [O_NONBLOCK] keeps a FIFO from
+   blocking the open; it is refused with any other non-regular file (a
+   directory) as 403. *)
+let open_regular full =
+  match Unix.openfile full [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 with
+  | exception Unix.Unix_error _ -> Error Http.Status.Not_found
+  | fd -> (
+      match Unix.fstat fd with
+      | st when st.Unix.st_kind = Unix.S_REG -> Ok (fd, st)
+      | _ ->
+          Unix.close fd;
+          Error Http.Status.Forbidden
+      | exception Unix.Unix_error _ ->
+          Unix.close fd;
+          Error Http.Status.Not_found)
+
 (* Pre-render an entry's 200 and 304 header pairs (keep-alive and close
    variants each) around a body buffer: a fresh cache entry.  The header
    renders and (when mapping fails) the body read are the miss path's
    counted copies; a mapped body costs none. *)
-let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
+let build_entry ?encoding t ~full ~body ~mapped ~mtime ~size =
+  let content_type = Http.Mime.of_path full in
   let body_len = Bigarray.Array1.dim body in
   let suffix =
     match encoding with
@@ -1231,11 +1255,6 @@ let build_entry t ~body ~mapped ~mtime ~size ~content_type ~encoding =
     header_304_close = Iovec.of_string h304c;
   }
 
-let make_entry t fd full ~size ~mtime =
-  let body, mapped = File_cache.map_body fd ~size in
-  build_entry t ~body ~mapped ~mtime ~size
-    ~content_type:(Http.Mime.of_path full) ~encoding:None
-
 (* Obtain the gzip representation of [full] for a client that
    negotiated it: the cached variant if its origin validators still
    hold, else a fresh [.gz] sibling (never one staler than the origin),
@@ -1253,20 +1272,15 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
       let from_sibling () =
         if not t.config.gzip_precompressed then None
         else
-          let sib = full ^ ".gz" in
-          match Unix.stat sib with
-          | exception Unix.Unix_error _ -> None
-          | st
-            when st.Unix.st_kind = Unix.S_REG && st.Unix.st_mtime >= mtime -> (
-              match Unix.openfile sib [ Unix.O_RDONLY ] 0 with
-              | exception Unix.Unix_error _ -> None
-              | fd ->
-                  let body, mapped =
-                    File_cache.map_body fd ~size:st.Unix.st_size
-                  in
-                  Unix.close fd;
-                  Some (body, mapped))
-          | _ -> None
+          match open_regular (full ^ ".gz") with
+          | Error _ -> None
+          | Ok (fd, st) ->
+              let body =
+                if st.Unix.st_mtime < mtime then None
+                else Some (File_cache.map_body fd ~size:st.Unix.st_size)
+              in
+              Unix.close fd;
+              body
       in
       let from_lazy () =
         if not t.config.gzip_lazy then None
@@ -1286,8 +1300,7 @@ let gzip_entry t ~full ~(origin : File_cache.entry) =
       | None -> None
       | Some (body, mapped) ->
           let entry =
-            build_entry t ~body ~mapped ~mtime ~size
-              ~content_type:(Http.Mime.of_path full) ~encoding:(Some "gzip")
+            build_entry ~encoding:"gzip" t ~full ~body ~mapped ~mtime ~size
           in
           update_cache t (fun () ->
               File_cache.insert_variant t.cache full ~encoding:"gzip" entry);
@@ -1303,34 +1316,31 @@ let negotiate_entry t (req : Http.Request.t) ~full entry =
   else entry
 
 (* 206: the Content-Range header varies per request so it is rendered
-   here (a counted copy), but the body is still an offset window into
-   the entry's mapping — one gather write, zero body copies. *)
-let enqueue_partial t conn (req : Http.Request.t) ~full
-    (entry : File_cache.entry) ~keep ~off ~len =
+   here (a counted copy); [push] queues the window itself — an offset
+   slice of a cached mapping (one gather write, zero body copies) or a
+   streamed descriptor. *)
+let enqueue_partial ?encoding t conn (req : Http.Request.t) ~full ~etag ~mtime
+    ~size ~keep ~off ~len push =
   log_access ~conn ~path:full t
     ~meth:(Http.Request.meth_to_string req.Http.Request.meth)
     ~target:req.Http.Request.raw_target ~status:206 ~bytes:len;
   let extra =
     [
-      ( "Content-Range",
-        Http.Range.content_range ~off ~len ~size:(File_cache.body_length entry)
-      );
-      ("ETag", entry.File_cache.etag);
+      ("Content-Range", Http.Range.content_range ~off ~len ~size);
+      ("ETag", etag);
       ("Accept-Ranges", "bytes");
     ]
-    @ (match entry.File_cache.encoding with
-      | Some e -> [ ("Content-Encoding", e) ]
-      | None -> [])
+    @ (match encoding with Some e -> [ ("Content-Encoding", e) ] | None -> [])
     @ vary_extra t
   in
   let header =
-    render_header t ~status:Http.Status.Partial_content
-      ~last_modified:entry.File_cache.mtime ~extra
+    render_header t ~status:Http.Status.Partial_content ~last_modified:mtime
+      ~extra
       ~content_type:(Some (Http.Mime.of_path full))
       ~content_length:(Some len) ~keep
   in
   enqueue_string t conn header;
-  Sendq.push_slice conn.outq (Iovec.slice ~off ~len entry.File_cache.body);
+  push ();
   commit t conn ~code:206 ~keep
 
 (* The single dispatch point for serving a cache entry (origin or
@@ -1356,85 +1366,119 @@ let enqueue_response t conn (req : Http.Request.t) ~full
         ~target ~meth
         ~extra:[ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
   | P_full -> enqueue_entry ~path:full t conn req entry ~keep ~head_only
-  | P_slice (off, len) -> enqueue_partial t conn req ~full entry ~keep ~off ~len
+  | P_slice (off, len) ->
+      enqueue_partial ?encoding:entry.File_cache.encoding t conn req ~full
+        ~etag:entry.File_cache.etag ~mtime:entry.File_cache.mtime ~size ~keep
+        ~off ~len (fun () ->
+          Sendq.push_slice conn.outq
+            (Iovec.slice ~off ~len entry.File_cache.body))
 
-(* The file is known to exist with [size]/[mtime] (from a helper's stat
-   or an inline one).  Small files are cached as mmap-backed entries
-   with their pre-rendered headers — even a 304 warms the cache; large
-   files plan against the stat's validators and stream from the
-   descriptor. *)
-let serve_file t conn (req : Http.Request.t) full ~size ~mtime ~keep =
-  let head_only = req.Http.Request.meth = Http.Request.Head in
+(* AMPED: hand a miss to a helper, which stats and reads the file so
+   that its pages are resident when the completion comes back.  The
+   shedder can refuse queue admission, and the bounded queue can refuse
+   at the door: both answer an early 503 with advice instead of letting
+   the backlog grow. *)
+let to_helper t conn helper (req : Http.Request.t) full ~keep ~head_only =
+  let refuse () =
+    enqueue_error ~extra:(guard_retry t) t conn Http.Status.Service_unavailable
+      ~keep ~head_only
+  in
+  let admitted =
+    match t.guard with
+    | Some g -> Guard.queue_admission g = Guard.Admit
+    | None -> true
+  in
+  if not admitted then refuse ()
+  else if Helper.dispatch helper ~key:conn.key ~path:full then begin
+    Hashtbl.replace t.by_helper_key conn.key conn;
+    conn.state <- Waiting_helper (req, full)
+  end
+  else begin
+    guard_shed t Guard.Helper_queue;
+    refuse ()
+  end
+
+(* A cache miss, in every mode: open and fstat the file, then cache it
+   as an mmap-backed entry with pre-rendered headers (even a 304 warms
+   the cache) or, above [max_cached_file], stream it.  SPED, MP and MT
+   do this inline under a disk-read span: a SPED loop stalls on a cold
+   file, an MP child or MT worker blocks alone.  AMPED (paper §3.4)
+   serves the miss in this pass, under a map span, only when mincore
+   says every page is resident; otherwise the miss goes to a helper and
+   comes back with [~paged_in:true].  The cold-media seam [slow_read]
+   makes no page resident. *)
+let serve_miss ?(paged_in = false) t conn (req : Http.Request.t) full ~keep
+    ~head_only =
   let target = req.Http.Request.raw_target in
   let meth = Http.Request.meth_to_string req.Http.Request.meth in
-  match Unix.openfile full [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ ->
-      enqueue_error t conn Http.Status.Not_found ~keep ~head_only ~target ~meth
-  | fd ->
-      if size <= t.config.max_cached_file then begin
-        let entry = make_entry t fd full ~size ~mtime in
-        Unix.close fd;
-        update_cache t (fun () -> File_cache.insert t.cache full entry);
-        let entry = negotiate_entry t req ~full entry in
-        enqueue_response t conn req ~full entry ~keep ~head_only
-      end
-      else begin
-        (* Streamed: no cache entry, so validators come straight from
-           the stat; gzip negotiation is skipped (no mapped origin body
-           to compress, and siblings of this size would not be cached
-           either). *)
-        let etag_s = Http.Etag.make ~mtime ~size () in
-        let finish_error status ?extra () =
+  begin_work_span t conn (if t.helper = None then "disk-read" else "map");
+  if t.helper = None then Option.iter (fun f -> f full) t.config.slow_read;
+  match open_regular full with
+  | Error status -> enqueue_error t conn status ~keep ~head_only ~target ~meth
+  | Ok (fd, st) -> (
+      let size = st.Unix.st_size and mtime = st.Unix.st_mtime in
+      let cached = size <= t.config.max_cached_file in
+      let mapping = if cached then File_cache.map fd ~size else None in
+      let resident () =
+        cached && t.config.slow_read = None
+        && match mapping with Some b -> Iovec.resident b | None -> size = 0
+      in
+      match t.helper with
+      | Some helper when not (paged_in || resident ()) ->
           Unix.close fd;
-          enqueue_error t conn status ?extra ~keep ~head_only ~target ~meth
-        in
-        match plan_for ~req ~etag:(etag_of_string etag_s) ~mtime ~size with
-        | P_not_modified ->
+          end_work_span t conn;
+          to_helper t conn helper req full ~keep ~head_only
+      | _ when cached ->
+          let body, mapped =
+            match mapping with
+            | Some b -> (b, true)
+            | None -> File_cache.map_body fd ~size
+          in
+          Unix.close fd;
+          let entry = build_entry t ~full ~body ~mapped ~mtime ~size in
+          update_cache t (fun () -> File_cache.insert t.cache full entry);
+          let entry = negotiate_entry t req ~full entry in
+          enqueue_response t conn req ~full entry ~keep ~head_only
+      | _ ->
+          (* Streamed: no cache entry, so validators come straight from
+             the stat; gzip negotiation is skipped (no mapped origin body
+             to compress, and siblings of this size would not be cached
+             either). *)
+          let etag_s = Http.Etag.make ~mtime ~size () in
+          let finish_error status ?extra () =
             Unix.close fd;
-            enqueue_not_modified ~path:full t conn req ~etag:etag_s
-              ~last_modified:mtime ~keep
-        | P_precondition_failed ->
-            finish_error Http.Status.Precondition_failed ()
-        | P_unsatisfiable ->
-            finish_error Http.Status.Range_not_satisfiable
-              ~extra:
-                [ ("Content-Range", Http.Range.content_range_unsatisfied ~size) ]
-              ()
-        | P_slice (off, len) ->
-            log_access ~conn ~path:full t ~meth ~target ~status:206 ~bytes:len;
-            let extra =
-              [
-                ("Content-Range", Http.Range.content_range ~off ~len ~size);
-                ("ETag", etag_s);
-                ("Accept-Ranges", "bytes");
-              ]
-              @ vary_extra t
-            in
-            let header =
-              render_header t ~status:Http.Status.Partial_content
-                ~last_modified:mtime ~extra
-                ~content_type:(Some (Http.Mime.of_path full))
-                ~content_length:(Some len) ~keep
-            in
-            enqueue_string t conn header;
-            ignore (Unix.lseek fd off Unix.SEEK_SET);
-            Sendq.push_file conn.outq fd ~len;
-            commit t conn ~code:206 ~keep
-        | P_full ->
-            log_access ~conn ~path:full t ~meth ~target ~status:200
-              ~bytes:(if head_only then 0 else size);
-            let header =
-              render_header t ~status:Http.Status.Ok ~last_modified:mtime
-                ~extra:([ ("ETag", etag_s); ("Accept-Ranges", "bytes") ]
-                        @ vary_extra t)
-                ~content_type:(Some (Http.Mime.of_path full))
-                ~content_length:(Some size) ~keep
-            in
-            enqueue_string t conn header;
-            if head_only then Unix.close fd
-            else Sendq.push_file conn.outq fd ~len:size;
-            commit t conn ~code:200 ~keep
-      end
+            enqueue_error t conn status ?extra ~keep ~head_only ~target ~meth
+          in
+          match plan_for ~req ~etag:(etag_of_string etag_s) ~mtime ~size with
+          | P_not_modified ->
+              Unix.close fd;
+              enqueue_not_modified ~path:full t conn req ~etag:etag_s
+                ~last_modified:mtime ~keep
+          | P_precondition_failed ->
+              finish_error Http.Status.Precondition_failed ()
+          | P_unsatisfiable ->
+              let range = Http.Range.content_range_unsatisfied ~size in
+              finish_error Http.Status.Range_not_satisfiable
+                ~extra:[ ("Content-Range", range) ] ()
+          | P_slice (off, len) ->
+              enqueue_partial t conn req ~full ~etag:etag_s ~mtime ~size ~keep
+                ~off ~len (fun () ->
+                  ignore (Unix.lseek fd off Unix.SEEK_SET);
+                  Sendq.push_file conn.outq fd ~len)
+          | P_full ->
+              log_access ~conn ~path:full t ~meth ~target ~status:200
+                ~bytes:(if head_only then 0 else size);
+              let header =
+                render_header t ~status:Http.Status.Ok ~last_modified:mtime
+                  ~extra:([ ("ETag", etag_s); ("Accept-Ranges", "bytes") ]
+                          @ vary_extra t)
+                  ~content_type:(Some (Http.Mime.of_path full))
+                  ~content_length:(Some size) ~keep
+              in
+              enqueue_string t conn header;
+              if head_only then Unix.close fd
+              else Sendq.push_file conn.outq fd ~len:size;
+              commit t conn ~code:200 ~keep)
 
 (* ------------------------------------------------------------------ *)
 (* CGI                                                                 *)
@@ -1567,53 +1611,9 @@ let process_request t conn (req : Http.Request.t) =
                 | _ -> ());
                 let entry = negotiate_entry t req ~full entry in
                 enqueue_response t conn req ~full entry ~keep ~head_only
-            | None -> (
+            | None ->
                 end_resolve ();
-                match t.helper with
-                | Some helper -> (
-                    (* AMPED: all disk work (stat + read) in a helper.
-                       The queue-wait and disk spans are stitched in when
-                       the completion comes back.  Two gates first: the
-                       shedder can refuse queue admission outright, and
-                       the bounded queue can refuse at the door — both
-                       answer an early 503 with advice instead of
-                       letting the backlog grow. *)
-                    let admission =
-                      match t.guard with
-                      | Some g -> Guard.queue_admission g
-                      | None -> Guard.Admit
-                    in
-                    match admission with
-                    | Guard.Reject _ ->
-                        enqueue_error ~extra:(guard_retry t) t conn
-                          Http.Status.Service_unavailable ~keep ~head_only
-                    | Guard.Admit ->
-                        if Helper.dispatch helper ~key:conn.key ~path:full
-                        then begin
-                          Hashtbl.replace t.by_helper_key conn.key conn;
-                          conn.state <- Waiting_helper (req, full)
-                        end
-                        else begin
-                          guard_shed t Guard.Helper_queue;
-                          enqueue_error ~extra:(guard_retry t) t conn
-                            Http.Status.Service_unavailable ~keep ~head_only
-                        end)
-                | None -> (
-                    (* SPED, MP and MT: inline — a SPED loop stalls on a
-                       miss, an MP child or MT worker blocks alone; the
-                       disk span lands on the serving loop's track. *)
-                    begin_work_span t conn "disk-read";
-                    slow_read_hook t full;
-                    match Unix.stat full with
-                    | exception Unix.Unix_error _ ->
-                        enqueue_error t conn Http.Status.Not_found ~keep
-                          ~head_only
-                    | st when st.Unix.st_kind <> Unix.S_REG ->
-                        enqueue_error t conn Http.Status.Forbidden ~keep
-                          ~head_only
-                    | st ->
-                        serve_file t conn req full ~size:st.Unix.st_size
-                          ~mtime:st.Unix.st_mtime ~keep)))
+                serve_miss t conn req full ~keep ~head_only)
       end)
 
 let rec try_parse t conn =
@@ -1919,8 +1919,9 @@ let handle_prefetch_completion t w (c : Helper.completion) =
             match Unix.openfile full [ Unix.O_RDONLY ] 0 with
             | exception Unix.Unix_error _ -> Obs.Counter.incr w.w_failed
             | fd ->
-                let entry = make_entry t fd full ~size ~mtime in
+                let body, mapped = File_cache.map_body fd ~size in
                 Unix.close fd;
+                let entry = build_entry t ~full ~body ~mapped ~mtime ~size in
                 update_cache t (fun () ->
                     File_cache.insert t.cache full entry;
                     if
@@ -1966,13 +1967,11 @@ let handle_helper_completions t =
                             ~name:"disk-read" ~start:c.Helper.started
                             ~stop:c.Helper.finished tr
                       | None -> ());
-                  let keep = Http.Request.keep_alive req in
-                  let head_only = req.Http.Request.meth = Http.Request.Head in
-                  match c.Helper.result with
-                  | Helper.Missing ->
-                      enqueue_error t conn Http.Status.Not_found ~keep ~head_only
-                  | Helper.Found { size; mtime } ->
-                      serve_file t conn req full ~size ~mtime ~keep);
+                  (* The loop's own open answers a file the helper
+                     found missing. *)
+                  serve_miss ~paged_in:true t conn req full
+                    ~keep:(Http.Request.keep_alive req)
+                    ~head_only:(req.Http.Request.meth = Http.Request.Head));
                   sync_conn t conn
               | Reading | Streaming_cgi _ -> ()))
         completions
@@ -2485,11 +2484,11 @@ let run_loop t =
     List.iter (dispatch_event t) events;
     let now = t.config.clock () in
     let fired = Evio.Timer_wheel.advance t.wheel ~now in
+    Obs.Loopstat.timers_fired t.loopstat (List.length fired);
     List.iter (handle_timer t ~now) fired;
     let fin = t.config.clock () in
     Obs.Loopstat.iteration t.loopstat ~waited:(woke -. !last)
-      ~worked:(fin -. woke) ~ready:(List.length events)
-      ~fired:(List.length fired);
+      ~worked:(fin -. woke) ~ready:(List.length events);
     last := fin
   done;
   (* Drain: close everything. *)

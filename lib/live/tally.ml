@@ -30,11 +30,15 @@ let mapped = 13
 let cache_hits = 14
 let cache_misses = 15
 let cache_evictions = 16
-let h_count = 17
-let h_sum = 18
-let h_min = 19
-let h_max = 20
-let h_buckets = 21
+let cache_entries = 17
+let cache_bytes = 18
+let cache_admitted = 19
+let cache_rejected = 20
+let h_count = 21
+let h_sum = 22
+let h_min = 23
+let h_max = 24
+let h_buckets = 25
 let n_buckets = 256
 
 (* Rows are padded to whole 64-byte lines, so two writers never share

@@ -35,12 +35,17 @@ val active : field
 
 val mapped : field
 
-(** The writer's file-cache hit, miss and eviction counts, stored
-    whole (with {!set}) from its own cache. *)
+(** The writer's file-cache counters and gauges, stored whole (with
+    {!set}) from its own cache: hits, misses, evictions, resident
+    entries and bytes, and admission decisions. *)
 val cache_hits : field
 
 val cache_misses : field
 val cache_evictions : field
+val cache_entries : field
+val cache_bytes : field
+val cache_admitted : field
+val cache_rejected : field
 
 (** [map_shared n]: [n] zeroed words in a [MAP_SHARED] mapping of an
     unlinked temporary file, shared by processes forked afterwards. *)

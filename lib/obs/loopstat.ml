@@ -22,13 +22,14 @@ let create ~threshold () =
     max_stall = 0.;
   }
 
-let iteration t ~waited ~worked ~ready ~fired =
+let timers_fired t n = t.timer_fires <- t.timer_fires + n
+
+let iteration t ~waited ~worked ~ready =
   let worked = Float.max 0. worked in
   t.iterations <- t.iterations + 1;
   t.ready_fds <- t.ready_fds + ready;
   t.wait_time <- t.wait_time +. Float.max 0. waited;
   t.work_time <- t.work_time +. worked;
-  t.timer_fires <- t.timer_fires + fired;
   if worked > t.max_stall then t.max_stall <- worked;
   if worked > t.threshold then t.stalls <- t.stalls + 1
 

@@ -25,11 +25,16 @@ type t
     @raise Invalid_argument if [threshold <= 0]. *)
 val create : threshold:float -> unit -> t
 
-(** [iteration t ~waited ~worked ~ready ~fired]: one wait returned
-    [ready] descriptors after blocking [waited] seconds, then [worked]
-    seconds went to them and to [fired] timers.  Negative intervals
+(** [timers_fired t n]: [n] timers expired and are about to run.  The
+    loop counts them before their handlers, so a reader that sees a
+    handler's effect (a reaped connection) also sees its fire. *)
+val timers_fired : t -> int -> unit
+
+(** [iteration t ~waited ~worked ~ready]: one wait returned [ready]
+    descriptors after blocking [waited] seconds, then [worked] seconds
+    went to them and to the timers that fired.  Negative intervals
     count as zero. *)
-val iteration : t -> waited:float -> worked:float -> ready:int -> fired:int -> unit
+val iteration : t -> waited:float -> worked:float -> ready:int -> unit
 
 val threshold : t -> float
 val iterations : t -> int

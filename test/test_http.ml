@@ -236,6 +236,187 @@ let prop_alignment =
       let h = Response.header ~status:Status.Ok ~content_length:len ~align:32 () in
       String.length h mod 32 = 0)
 
+(* ------------------------- Printf oracles ------------------------- *)
+
+(* The Printf renderings that the date, status-line, ETag and header
+   builders replaced, kept verbatim as oracles: the new code must give
+   the same bytes. *)
+module Oracle = struct
+  let weekdays = [| "Sun"; "Mon"; "Tue"; "Wed"; "Thu"; "Fri"; "Sat" |]
+
+  let months =
+    [| "Jan"; "Feb"; "Mar"; "Apr"; "May"; "Jun";
+       "Jul"; "Aug"; "Sep"; "Oct"; "Nov"; "Dec" |]
+
+  let http_date ts =
+    let total = int_of_float (floor ts) in
+    let days = if total >= 0 then total / 86400 else (total - 86399) / 86400 in
+    let secs = total - (days * 86400) in
+    let year, month, day = Http.Http_date.civil_of_days days in
+    Printf.sprintf "%s, %02d %s %04d %02d:%02d:%02d GMT"
+      weekdays.(Http.Http_date.weekday_of_days days)
+      day
+      months.(month - 1)
+      year (secs / 3600) (secs mod 3600 / 60) (secs mod 60)
+
+  let line_fragment st =
+    Printf.sprintf "%d %s" (Status.code st) (Status.reason st)
+
+  let etag ?(suffix = "") ~mtime ~size () =
+    Printf.sprintf "\"%x-%x%s\"" (int_of_float (floor mtime)) size suffix
+
+  let render ~version ~server ~content_type ~content_length ~keep_alive ~date
+      ~last_modified ~extra ~status =
+    let buf = Buffer.create 256 in
+    let field name v = Buffer.add_string buf (name ^ ": " ^ v ^ "\r\n") in
+    Buffer.add_string buf (version ^ " " ^ line_fragment status ^ "\r\n");
+    field "Server" server;
+    Option.iter (fun d -> field "Date" (http_date d)) date;
+    Option.iter (fun d -> field "Last-Modified" (http_date d)) last_modified;
+    Option.iter (field "Content-Type") content_type;
+    Option.iter
+      (fun n -> field "Content-Length" (string_of_int n))
+      content_length;
+    Option.iter
+      (fun k -> field "Connection" (if k then "keep-alive" else "close"))
+      keep_alive;
+    List.iter (fun (n, v) -> field n v) extra;
+    Buffer.add_string buf "\r\n";
+    Buffer.contents buf
+
+  (* Aligned: render, then render again with the Server value padded. *)
+  let header ~version ~server ~content_type ~content_length ~keep_alive ~date
+      ~last_modified ~extra ~align ~status =
+    let go server =
+      render ~version ~server ~content_type ~content_length ~keep_alive ~date
+        ~last_modified ~extra ~status
+    in
+    let base = go server in
+    match align with
+    | None -> base
+    | Some a ->
+        let r = String.length base mod a in
+        if r = 0 then base else go (server ^ String.make (a - r) ' ')
+end
+
+(* Timestamps over years 0-9999, fractional seconds included. *)
+let year_range_ts =
+  let at s = Option.get (Http.Http_date.parse s) in
+  QCheck.float_range
+    (at "Sat, 01 Jan 0000 00:00:00 GMT")
+    (at "Fri, 31 Dec 9999 23:59:59 GMT" +. 0.999)
+
+let prop_date_oracle =
+  Helpers.qcheck_case ~count:2000
+    ~name:"date format = Printf oracle, years 0-9999"
+    year_range_ts
+    (fun ts -> String.equal (Http.Http_date.format ts) (Oracle.http_date ts))
+
+let prop_decimal_oracle =
+  Helpers.qcheck_case ~count:1000 ~name:"decimal add = %0*d"
+    QCheck.(pair (int_bound 8) (oneof [ int; int_range (-99999) 99999 ]))
+    (fun (width, n) ->
+      QCheck.assume (n <> min_int);
+      let buf = Buffer.create 16 in
+      Http.Decimal.add ~width buf n;
+      String.equal (Buffer.contents buf) (Printf.sprintf "%0*d" width n))
+
+let prop_etag_oracle =
+  Helpers.qcheck_case ~count:1000 ~name:"etag make = Printf oracle"
+    QCheck.(
+      triple
+        (oneof [ float_range (-1e12) 1e12; float_range 0. 2e9 ])
+        (oneof [ int; int_bound 100_000_000 ])
+        (option (string_gen_of_size (Gen.int_range 0 6) Gen.printable)))
+    (fun (mtime, size, suffix) ->
+      String.equal
+        (Http.Etag.make ?suffix ~mtime ~size ())
+        (Oracle.etag ?suffix ~mtime ~size ()))
+
+let statuses =
+  Status.
+    [
+      Ok; Partial_content; Moved_permanently; Not_modified; Bad_request;
+      Forbidden; Not_found; Precondition_failed; Range_not_satisfiable;
+      Request_timeout; Too_many_requests; Internal_server_error;
+      Not_implemented; Service_unavailable;
+    ]
+
+type fields = {
+  version : string;
+  server : string;
+  content_type : string option;
+  content_length : int option;
+  keep_alive : bool option;
+  date : float option;
+  last_modified : float option;
+  extra : (string * string) list;
+  align : int option;
+  status : Status.t;
+}
+
+let gen_fields =
+  let open QCheck.Gen in
+  let word = string_size ~gen:printable (int_range 0 24) in
+  let ts = map float_of_int (int_range 0 4_102_444_800) in
+  let* version = oneofl [ "HTTP/1.0"; "HTTP/1.1" ] in
+  let* server = oneof [ return Response.default_server; word ] in
+  let* content_type = opt word in
+  let* content_length = opt (int_bound 100_000_000) in
+  let* keep_alive = opt bool in
+  let* date = opt ts in
+  let* last_modified = opt ts in
+  let* extra = list_size (int_range 0 4) (pair word word) in
+  let* align = oneofl [ None; Some 32 ] in
+  let+ status = oneofl statuses in
+  { version; server; content_type; content_length; keep_alive; date;
+    last_modified; extra; align; status }
+
+let arb_fields =
+  QCheck.make gen_fields ~print:(fun f ->
+      Printf.sprintf "%s %s server=%S len=%s align=%s"
+        f.version (Status.line_fragment f.status) f.server
+        (Option.fold ~none:"-" ~some:string_of_int f.content_length)
+        (Option.fold ~none:"-" ~some:string_of_int f.align))
+
+let oracle_header ?keep_alive f =
+  let keep_alive = if keep_alive = None then f.keep_alive else keep_alive in
+  Oracle.header ~version:f.version ~server:f.server ~content_type:f.content_type
+    ~content_length:f.content_length ~keep_alive ~date:f.date
+    ~last_modified:f.last_modified ~extra:f.extra ~align:f.align
+    ~status:f.status
+
+let prop_header_oracle =
+  Helpers.qcheck_case ~count:1000 ~name:"header = Printf oracle"
+    arb_fields
+    (fun f ->
+      String.equal
+        (Response.header ~version:f.version ~server:f.server
+           ?content_type:f.content_type ?content_length:f.content_length
+           ?keep_alive:f.keep_alive ?date:f.date ?last_modified:f.last_modified
+           ~extra:f.extra ?align:f.align ~status:f.status ())
+        (oracle_header f))
+
+let prop_header_pair_oracle =
+  Helpers.qcheck_case ~count:1000 ~name:"header_pair = Printf oracle"
+    arb_fields
+    (fun f ->
+      let k, c =
+        Response.header_pair ~version:f.version ~server:f.server
+          ?content_type:f.content_type ?content_length:f.content_length
+          ?date:f.date ?last_modified:f.last_modified ~extra:f.extra
+          ?align:f.align ~status:f.status ()
+      in
+      String.equal k (oracle_header ~keep_alive:true f)
+      && String.equal c (oracle_header ~keep_alive:false f))
+
+let test_line_fragment_oracle () =
+  List.iter
+    (fun st ->
+      let want = Oracle.line_fragment st in
+      Alcotest.(check string) want want (Status.line_fragment st))
+    statuses
+
 let suite =
   [
     Alcotest.test_case "status codes" `Quick test_status_codes;
@@ -264,4 +445,11 @@ let suite =
     Alcotest.test_case "header framing" `Quick test_response_parses_back;
     Alcotest.test_case "error body" `Quick test_error_body;
     prop_alignment;
+    prop_decimal_oracle;
+    prop_date_oracle;
+    prop_etag_oracle;
+    Alcotest.test_case "status line = Printf oracle" `Quick
+      test_line_fragment_oracle;
+    prop_header_oracle;
+    prop_header_pair_oracle;
   ]

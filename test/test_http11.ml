@@ -73,6 +73,7 @@ let fixture =
      let body_big = patterned ((3 * 65536) + 123) in
      write_file (Filename.concat docroot "big.bin") body_big;
      Unix.mkdir (Filename.concat docroot "cgi-bin") 0o755;
+     Unix.mkdir (Filename.concat docroot "sub") 0o755;
      let script = Filename.concat docroot "cgi-bin/echo.sh" in
      write_file script "#!/bin/sh\necho \"cgi says $REQUEST_METHOD\"\n";
      Unix.chmod script 0o755;
@@ -349,6 +350,7 @@ let table () =
     case "file above max_cached_file streams whole" 200 ~target:"/big.bin"
       ~has:[ ("content-length", string_of_int (String.length fx.body_big)) ]
       ~body:(Exact fx.body_big);
+    case "directory without a trailing slash is 403" 403 ~target:"/sub";
   ]
 
 let run_case port c =

@@ -20,10 +20,14 @@ let make_docroot () =
   Unix.chmod cgi 0o755;
   dir
 
-let with_server ?(mode = Flash_live.Server.Amped) f =
+let with_server ?(mode = Flash_live.Server.Amped) ?(tweak = Fun.id) f =
   let docroot = make_docroot () in
   let config =
-    { (Flash_live.Server.default_config ~docroot) with Flash_live.Server.mode }
+    tweak
+      {
+        (Flash_live.Server.default_config ~docroot) with
+        Flash_live.Server.mode;
+      }
   in
   let server = Flash_live.Server.start_background config in
   Fun.protect
@@ -114,8 +118,13 @@ let test_cache_hits () =
       Alcotest.(check bool) "cache hits recorded" true
         (stats.Flash_live.Server.cache_hits >= 2))
 
+(* A cold file goes to a helper: [slow_read] models cold media, so the
+   loop's residency test finds none of its pages resident. *)
+let cold_media config =
+  { config with Flash_live.Server.slow_read = Some ignore }
+
 let test_amped_uses_helpers () =
-  with_server ~mode:Flash_live.Server.Amped (fun server port ->
+  with_server ~tweak:cold_media (fun server port ->
       ignore (get port "/hello.txt");
       let stats = Flash_live.Server.stats server in
       Alcotest.(check bool) "helper used for cold file" true

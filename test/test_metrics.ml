@@ -529,6 +529,39 @@ let test_mp_cache_counters_whole_server () =
           (v "flash_cache_hits_total" + v "flash_cache_misses_total")
       done)
 
+(* The cache's gauges and admission counts are rows of the tally too:
+   after 8 GETs of 8 distinct files, every scrape, whichever child
+   serves it, reads the whole server's 8 entries, 8 admissions and one
+   resident-bytes total — not the serving child's share. *)
+let test_mp_cache_gauges_whole_server () =
+  let docroot = Test_live.make_docroot () in
+  let files = List.init 8 (fun i -> Printf.sprintf "/f%d.txt" i) in
+  List.iteri
+    (fun i f ->
+      Test_live.write_file (docroot ^ f) (String.make (100 * (i + 1)) 'x'))
+    files;
+  with_config
+    { (Server.default_config ~docroot) with Server.mode = Server.Mp 2 }
+    (fun _server port ->
+      List.iter (fun f -> ignore (get port f)) files;
+      let scrape () =
+        let families = validate_families (get port "/metrics").Client.body in
+        let v name =
+          series_value families ~labels:[ ("cache", "file") ] name
+          |> int_of_float
+        in
+        Alcotest.(check int) "misses" 8 (v "flash_cache_misses_total");
+        Alcotest.(check int) "entries" 8 (v "flash_cache_entries");
+        Alcotest.(check int) "admitted" 8 (v "flash_cache_admitted_total");
+        Alcotest.(check int) "rejected" 0 (v "flash_cache_rejected_total");
+        v "flash_cache_resident_bytes"
+      in
+      let first = scrape () in
+      Alcotest.(check bool) "bytes resident" true (first > 8 * 100);
+      for _ = 2 to 6 do
+        Alcotest.(check int) "resident bytes agree" first (scrape ())
+      done)
+
 (* Windows close where a loop waits, not where a request runs: an idle
    server still closes one window per interval — the MT main thread's
    parked wait, and each MP child's accept wait, which the ?window=N
@@ -587,6 +620,8 @@ let suite =
       test_mp_metrics_consolidated;
     Alcotest.test_case "MP cache counters are the server's" `Quick
       test_mp_cache_counters_whole_server;
+    Alcotest.test_case "MP cache gauges are the server's" `Quick
+      test_mp_cache_gauges_whole_server;
     Alcotest.test_case "idle MT and MP close windows" `Quick
       test_idle_servers_close_windows;
   ]

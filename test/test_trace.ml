@@ -394,7 +394,7 @@ let test_trace_endpoint mode () =
    attributed to the helper track under AMPED and to the main loop
    under SPED. *)
 let test_disk_attribution_amped () =
-  with_mode Server.Amped (fun server port ->
+  with_mode ~tweak:Test_live.cold_media Server.Amped (fun server port ->
       ignore (get port "/hello.txt");
       let snap =
         await_traces server (has_span ~name:"disk-read" ~track:"helper")
@@ -416,6 +416,39 @@ let test_disk_attribution_sped () =
         (has_span ~name:"disk-read" ~track:"main-loop" snap);
       Alcotest.(check bool) "no helper track" false
         (has_span ~name:"disk-read" ~track:"helper" snap))
+
+(* The paper's residency test, live.  The docroot was just written, so
+   its pages are resident: AMPED serves the miss in the loop pass that
+   parsed it, under a map span on the loop's track, with no helper job.
+   With the cold-media seam set the same miss goes to a helper.  Both
+   answers carry SPED's bytes. *)
+let test_resident_miss_on_loop () =
+  let docroot = Test_live.make_docroot () in
+  let serve ?(tweak = Fun.id) mode check =
+    with_config (tweak { (Server.default_config ~docroot) with Server.mode })
+      (fun server port ->
+        let r = Helpers.Raw.request ~port "/hello.txt" in
+        Alcotest.(check int) "200" 200 r.Helpers.Raw.status;
+        check server;
+        Helpers.Raw.mask_dates r.Helpers.Raw.raw)
+  in
+  let jobs server = (Server.stats server).Server.helper_jobs in
+  let resident =
+    serve Server.Amped (fun server ->
+        let on_loop = has_span ~name:"map" ~track:"main-loop" in
+        let snap = await_traces server on_loop in
+        Alcotest.(check bool) "map span on the loop" true (on_loop snap);
+        Alcotest.(check bool) "no helper disk-read" false
+          (has_span ~name:"disk-read" ~track:"helper" snap);
+        Alcotest.(check int) "no helper job" 0 (jobs server))
+  in
+  let cold =
+    serve ~tweak:Test_live.cold_media Server.Amped (fun server ->
+        Alcotest.(check int) "cold media: one helper job" 1 (jobs server))
+  in
+  let sped = serve Server.Sped ignore in
+  Alcotest.(check string) "resident miss: SPED's bytes" sped resident;
+  Alcotest.(check string) "cold miss: SPED's bytes" sped cold
 
 (* MP: the child runs the request and stores the finished trace in its
    row of the shared ring, and the parent's view shows it on an mp-child
@@ -658,6 +691,8 @@ let suite =
       (test_trace_endpoint (Server.Mp 2));
     Alcotest.test_case "AMPED cold read runs on the helper track" `Quick
       test_disk_attribution_amped;
+    Alcotest.test_case "AMPED resident miss runs on the loop" `Quick
+      test_resident_miss_on_loop;
     Alcotest.test_case "SPED cold read stalls the main loop" `Quick
       test_disk_attribution_sped;
     Alcotest.test_case "MP child traces stitch over the stats pipe" `Quick
